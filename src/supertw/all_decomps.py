@@ -19,7 +19,7 @@ small enough to materialize.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import chain, combinations, islice, permutations
 
 from .decomp import ConcreteBag, bag, bag_alphabet
 from .errors import InvalidBagError, NotConnectedError
@@ -222,7 +222,7 @@ def build_gt_automaton(g: Graph, t: int, budget: Budget | None = None) -> TreeAu
     alphabet = osorted(known)
     trs = {(tuple(ch), sym, tgt): None for (ch, sym, tgt) in transitions}
     return trim(TreeAutomaton.raw(alphabet, order, final,
-                                  [(ch, sym, tgt) for (ch, sym, tgt) in trs]))
+                                  [(ch, sym, tgt) for (ch, sym, tgt) in trs]), budget)
 
 
 def build_count_automaton(t: int, n: int, budget: Budget | None = None) -> TreeAutomaton:
@@ -272,17 +272,22 @@ def build_count_automaton(t: int, n: int, budget: Budget | None = None) -> TreeA
                 emit((q1, q2), B)
 
     final = [q for q in states if q[1] == q[0] and q[2] == n]
-    return trim(TreeAutomaton.raw(alphabet, states, final, transitions))
+    return trim(TreeAutomaton.raw(alphabet, states, final, transitions), budget)
 
 
 class DecompMachine:
-    """Lazy transition engine for the decompositions-of-G automaton.
+    """Transition engine for the decompositions-of-G automaton.
 
     A state is (live, closed): live maps each label of the current root
     bag to its concrete vertex and a bitmask of realized incident edges;
     closed counts components already ended. The engine exposes leaf
-    states, a step function on child states, and the acceptance test, so
-    products can explore it without materializing every transition.
+    states, a step function on child states, and the acceptance test;
+    `materialize` explores it by bottom-up reachability.
+
+    For binary steps it also exposes a pair key per (state, bag) and a
+    compatibility test on two keys. They mirror step's early returns:
+    two child states whose keys are incompatible under a bag get [] from
+    step in either order, so an exploration may skip such pairs unseen.
     """
 
     def __init__(self, g: Graph, t: int):
@@ -376,6 +381,38 @@ class DecompMachine:
                 out.append(self._pack(nu, closed))
         return out
 
+    def pair_key(self, state, B):
+        """What step reads of a child state before its masks: the
+        label->vertex map of the live labels that survive into B, and
+        the components closed once the others die there. None when the
+        cut fails, so step rejects every pair with this state under B."""
+        cut = self._cut(state[0], B)
+        if cut is None:
+            return None
+        kept, deaths = cut
+        return tuple((s, v) for s, v, _ in kept), state[1] + deaths
+
+    def compatible(self, k1, k2, size) -> bool:
+        """Whether step may pair children with pair keys k1 and k2 under a
+        bag of `size` labels: shared labels name the same vertex, the
+        merged labels name distinct vertices, and the closed components
+        plus the bag's labels number at most n. A pair failing this gets
+        [] from step in either order; mask overlap is left to step."""
+        (nu1, c1), (nu2, c2) = k1, k2
+        if c1 + c2 + size > self.n:
+            return False
+        nu = dict(nu1)
+        used = set(nu.values())
+        for s, v in nu2:
+            w = nu.get(s)
+            if w is None:
+                if v in used:
+                    return False
+                used.add(v)
+            elif w != v:
+                return False
+        return True
+
     def _pack(self, nu, closed):
         return (tuple((s, v, m) for s, (v, m) in sorted(nu.items())), closed)
 
@@ -386,14 +423,44 @@ class DecompMachine:
         return all(mask == self.full[v] for _, v, mask in live)
 
 
-def build_all_decompositions(g: Graph, t: int, budget: Budget | None = None) -> TreeAutomaton:
-    """Automaton over plain bags accepting exactly the decompositions of g.
+class _PairIndex:
+    """Expanded states grouped by their pair key under one bag B.
 
-    Materializes the DecompMachine by bottom-up reachability and reduces
-    the result; accepted terms decode to graphs isomorphic to g.
+    Groups are kept in first-seen order, each with its state indices in
+    discovery order. Each key remembers how many groups it has been
+    tested against and the member lists of the compatible ones, so a key
+    pair is tested once.
+    """
+
+    def __init__(self, machine: DecompMachine, B):
+        self.machine = machine
+        self.size = len(B)
+        self.groups: dict = {}  # key -> state indices, ascending
+        self.tested: dict = {}  # key -> [groups tested, compatible member lists]
+
+    def add(self, key, i):
+        """File state i under key; return, ascending, the indices of the
+        states filed so far (i included) that step may pair it with."""
+        self.groups.setdefault(key, []).append(i)
+        memo = self.tested.setdefault(key, [0, []])
+        for k, members in islice(self.groups.items(), memo[0], None):
+            if self.machine.compatible(key, k, self.size):
+                memo[1].append(members)
+        memo[0] = len(self.groups)
+        return sorted(chain.from_iterable(memo[1]))
+
+
+def materialize(machine: DecompMachine, budget: Budget | None = None) -> TreeAutomaton:
+    """The reachable part of a DecompMachine, unreduced.
+
+    Bottom-up reachability: expanding state q steps it alone under every
+    symbol and pairs it, both ways round, with each state expanded so far
+    (q included) in discovery order. A pairing index per bag keeps that
+    order but skips the partners whose pair key is incompatible with q's:
+    step returns [] for exactly those. So the states, the transitions,
+    their order and every budget charge are those of trying all pairs.
     """
     budget = budget or Budget()
-    machine = DecompMachine(g, t)
     known: dict = {}
     order: list = []
     transitions: dict = {}
@@ -410,17 +477,35 @@ def build_all_decompositions(g: Graph, t: int, budget: Budget | None = None) -> 
 
     for sym in machine.alphabet:
         discover((), sym)
+    indexes = {B: _PairIndex(machine, B)
+               for B in dict.fromkeys(sym.B for sym in machine.alphabet)}
     frontier = 0
     while frontier < len(order):
         q = order[frontier]
+        partners = {}
+        for B, index in indexes.items():
+            key = machine.pair_key(q, B)
+            partners[B] = () if key is None else index.add(key, frontier)
         frontier += 1
         for sym in machine.alphabet:
             discover((q,), sym)
-            for other in order[:frontier]:
+            for i in partners[sym.B]:
+                other = order[i]
                 discover((q, other), sym)
                 if other is not q:
                     discover((other, q), sym)
 
     final = [q for q in order if machine.is_final(q)]
-    aut = TreeAutomaton.raw(machine.alphabet, order, final, transitions)
-    return reduce_bisim(trim(aut))
+    return TreeAutomaton.raw(machine.alphabet, order, final, transitions)
+
+
+def build_all_decompositions(g: Graph, t: int, budget: Budget | None = None) -> TreeAutomaton:
+    """Automaton over plain bags accepting exactly the decompositions of g.
+
+    Materializes the DecompMachine (see `materialize`, which skips the
+    child pairs step rejects by pair key) and reduces the result;
+    accepted terms decode to graphs isomorphic to g.
+    """
+    budget = budget or Budget()
+    aut = materialize(DecompMachine(g, t), budget)
+    return reduce_bisim(trim(aut, budget), budget)

@@ -287,7 +287,7 @@ def _build_validity(t, xs, budget):
         if all((x in closed) != (x in open_now) for x in fo_v):
             final.append(st)
 
-    return trim(TreeAutomaton.raw(alphabet, states, final, transitions))
+    return trim(TreeAutomaton.raw(alphabet, states, final, transitions), budget)
 
 
 def functional_product(base, leaf_f, unary_f, binary_f, final_f, budget,
@@ -634,7 +634,7 @@ class _Compiler:
         return validity_automaton(self.t, xs, self.budget)
 
     def shrink(self, aut):
-        return reduce_bisim(trim(aut))
+        return reduce_bisim(trim(aut, self.budget), self.budget)
 
     def lift_sim(self, aut, xs_from, xs_to):
         if xs_from == xs_to:
@@ -794,7 +794,7 @@ def _compile_sentence(phi, t, budget):
     aut = compile_open(phi, t, (), budget)
     base_of = {sym: sym.bag for sym in aut.alphabet}
     return reduce_bisim(trim(project(aut, lambda sym: base_of[sym],
-                                     bag_alphabet(t))))
+                                     bag_alphabet(t)), budget), budget)
 
 
 compile_sentence = compile

@@ -171,7 +171,8 @@ def _phi_automaton(phi, t1, simple, budget):
     def make():
         aut = compile_formula(phi, t1, budget)
         if simple:
-            aut = reduce_bisim(trim(intersect(aut, simple_automaton(t1), budget)))
+            aut = reduce_bisim(trim(intersect(aut, simple_automaton(t1), budget), budget),
+                               budget)
         return aut
 
     aut, hit = _PHI_CACHE.fetch((phi, t1, simple), budget, make)
@@ -183,13 +184,22 @@ def _sub_automaton(phi, t1, simple, paired, budget):
     def make():
         aut, _ = _phi_automaton(phi, t1, simple, budget)
         closed = sub_closure_paired(aut, budget) if paired else sub_closure(aut, budget)
-        return reduce_bisim(closed)
+        return reduce_bisim(closed, budget)
 
     return _SUB_CACHE.fetch((phi, t1, simple, paired), budget, make)
 
 
-def _stage(stats, name, t0, aut=None, cached=None):
-    entry = {"seconds": round(time.monotonic() - t0, 3)}
+def _start(budget):
+    """Clock and budget reading at the start of a stage."""
+    return time.monotonic(), budget.used
+
+
+def _stage(stats, name, start, budget, aut=None, cached=None):
+    """Record a stage: its seconds and `charged`, the transitions it added
+    to `budget.used`, plus the result's size and whether a cache answered."""
+    t0, used0 = start
+    entry = {"seconds": round(time.monotonic() - t0, 3),
+             "charged": budget.used - used0}
     if aut is not None:
         entry["states"] = len(aut.states)
         entry["transitions"] = len(aut.transitions)
@@ -211,11 +221,11 @@ def _relabel(gprime: Graph):
 
 def _reconstruct(g, phi, t1, a_g, phi_aut, sp, budget, simple, stats):
     """Extract, decode and re-verify a witness from the paired product."""
-    t0 = time.monotonic()
+    start = _start(budget)
     lifted = lift_to_pairs(a_g, t1)
-    prod = trim(intersect(lifted, sp, budget))
+    prod = trim(intersect(lifted, sp, budget), budget)
     wterm = extract_witness(prod)
-    _stage(stats, "paired_product", t0, prod)
+    _stage(stats, "paired_product", start, budget, prod)
     if wterm is None:
         raise SupertwError("paired product empty despite nonempty plain product")
 
@@ -270,21 +280,21 @@ def _decide(g, phi, t, simple, budget, want_witness):
     t1 = t + 1
     stats = {"t": t, "labels": t1}
 
-    t0 = time.monotonic()
+    start = _start(budget)
     phi_aut, cached = _phi_automaton(phi, t1, simple, budget)
-    _stage(stats, "compile", t0, phi_aut, cached=cached)
+    _stage(stats, "compile", start, budget, phi_aut, cached=cached)
 
-    t0 = time.monotonic()
+    start = _start(budget)
     sub_aut, cached = _sub_automaton(phi, t1, simple, False, budget)
-    _stage(stats, "sub_closure", t0, sub_aut, cached=cached)
+    _stage(stats, "sub_closure", start, budget, sub_aut, cached=cached)
 
-    t0 = time.monotonic()
+    start = _start(budget)
     a_g = build_all_decompositions(g, t1, budget)
-    _stage(stats, "decompositions", t0, a_g)
+    _stage(stats, "decompositions", start, budget, a_g)
 
-    t0 = time.monotonic()
+    start = _start(budget)
     answer = intersection_nonempty(a_g, sub_aut, budget)
-    _stage(stats, "emptiness", t0)
+    _stage(stats, "emptiness", start, budget)
     stats["answer"] = answer
 
     witness = None
@@ -304,7 +314,8 @@ def has_supergraph(g: Graph, phi, t: int, *, budget: Budget | None = None,
     """Decide whether g has a supergraph of treewidth <= t satisfying phi.
 
     phi must be a closed formula and g connected. The verdict's stats map
-    carries per-stage state/transition counts and timings; with
+    carries per-stage state/transition counts, timings and `charged`, the
+    transitions the stage added to the budget's `used`; with
     want_witness a verified witness supergraph is attached on YES.
     """
     return _decide(g, phi, t, False, budget, want_witness)

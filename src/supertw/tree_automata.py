@@ -322,8 +322,12 @@ def is_empty(aut: TreeAutomaton) -> bool:
     return not (_inhabited(aut) & aut.final)
 
 
-def trim(aut: TreeAutomaton) -> TreeAutomaton:
-    """Drop states that no term reaches or that cannot lead to acceptance."""
+def trim(aut: TreeAutomaton, budget: Budget | None = None) -> TreeAutomaton:
+    """Drop states that no term reaches or that cannot lead to acceptance.
+
+    With a budget, its deadline is checked before each of the two passes."""
+    if budget is not None:
+        budget.check_time("trim")
     alive = _inhabited(aut)
     live_trs = [tr for tr in aut.transitions
                 if tr[2] in alive and all(c in alive for c in tr[0])]
@@ -340,6 +344,8 @@ def trim(aut: TreeAutomaton) -> TreeAutomaton:
                 if c not in useful:
                     useful.add(c)
                     agenda.append(c)
+    if budget is not None:
+        budget.check_time("trim")
     trs = [tr for tr in live_trs
            if tr[2] in useful and all(c in useful for c in tr[0])]
     final = [q for q in aut.final if q in useful]
@@ -347,12 +353,15 @@ def trim(aut: TreeAutomaton) -> TreeAutomaton:
     return TreeAutomaton.raw(aut.alphabet, states, final, trs)
 
 
-def _refine(n, block0, sig_of):
+def _refine(n, block0, sig_of, budget=None):
     """Partition refinement: split blocks by sig_of(current blocks) until
-    stable. Block ids are dense ints in first-seen state order."""
+    stable. Block ids are dense ints in first-seen state order. With a
+    budget, its deadline is checked once per round."""
     block = block0
     nblocks = len(set(block))
     while True:
+        if budget is not None:
+            budget.check_time("reduce_bisim")
         sigs = sig_of(block)
         remap: dict = {}
         newblock = [0] * n
@@ -378,7 +387,7 @@ def _quotient(aut: TreeAutomaton, block, sidx):
     return TreeAutomaton.raw(aut.alphabet, range(nblocks), final, out)
 
 
-def _reduce_backward(aut: TreeAutomaton) -> TreeAutomaton:
+def _reduce_backward(aut: TreeAutomaton, budget=None) -> TreeAutomaton:
     """Quotient by the coarsest backward bisimulation: states merge when
     they are reachable by exactly the same terms, so the language survives
     however finality mixes inside a block."""
@@ -394,11 +403,11 @@ def _reduce_backward(aut: TreeAutomaton) -> TreeAutomaton:
             sigs[q].append((sy, tuple(block[c] for c in ch)))
         return [frozenset(s) for s in sigs]
 
-    block = _refine(n, [0] * n, sig_of)
+    block = _refine(n, [0] * n, sig_of, budget)
     return _quotient(aut, block, sidx)
 
 
-def _reduce_forward(aut: TreeAutomaton) -> TreeAutomaton:
+def _reduce_forward(aut: TreeAutomaton, budget=None) -> TreeAutomaton:
     """Quotient by a forward bisimulation: equally final states merge when
     every rule using one at position i (with the same concrete siblings)
     has a matching rule using the other into an equivalent target."""
@@ -421,18 +430,19 @@ def _reduce_forward(aut: TreeAutomaton) -> TreeAutomaton:
                 sigs[r].append((sy, 1, l, bq))
         return [(fin[i], frozenset(sigs[i])) for i in range(n)]
 
-    block = _refine(n, [0] * n, sig_of)
+    block = _refine(n, [0] * n, sig_of, budget)
     return _quotient(aut, block, sidx)
 
 
-def reduce_bisim(aut: TreeAutomaton) -> TreeAutomaton:
+def reduce_bisim(aut: TreeAutomaton, budget: Budget | None = None) -> TreeAutomaton:
     """Shrink an automaton by alternating backward and forward
     bisimulation quotients until neither merges anything. The language is
     unchanged; the result is typically far smaller after projections and
-    products have multiplied equivalent states."""
+    products have multiplied equivalent states. With a budget, its
+    deadline is checked once per refinement round."""
     while True:
         before = len(aut.states)
-        aut = _reduce_forward(_reduce_backward(aut))
+        aut = _reduce_forward(_reduce_backward(aut, budget), budget)
         if len(aut.states) == before:
             return aut
 

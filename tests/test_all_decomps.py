@@ -7,19 +7,26 @@ spells out the five local compatibility conditions straight from their
 definition for the enriched automaton.
 """
 
+import hashlib
+import json
+
 import pytest
 
-from supertw.all_decomps import (GtBag, build_all_decompositions,
+from supertw.all_decomps import (DecompMachine, GtBag,
+                                 build_all_decompositions,
                                  build_count_automaton, build_gt_automaton,
-                                 is_gt_compatible)
+                                 is_gt_compatible, materialize)
 from supertw.decomp import (TDNode, bag, bag_alphabet, decode_graph, encode,
                             labels_of, s_maximal_components)
-from supertw.errors import InvalidBagError, NotConnectedError
+from supertw.errors import (InvalidBagError, NotConnectedError,
+                            ResourceExceededError)
 from supertw.graph import Graph, is_isomorphic
 from supertw.terms import enumerate_terms, map_symbols, term
-from supertw.tree_automata import TreeAutomaton, accepts, extract_witness, intersect
-from corpus import (complete, cycle, multi_edge, path, single_vertex,
-                          star)
+from supertw.tree_automata import (TreeAutomaton, accepts, extract_witness,
+                                   intersect, to_json)
+from supertw.util import Budget
+from corpus import (complete, connected_small_corpus, cycle, multi_edge,
+                    path, paw, single_vertex, star)
 
 K2 = path(2)
 
@@ -258,3 +265,77 @@ def test_k3_needs_three_labels():
 def test_disconnected_input_rejected():
     with pytest.raises(NotConnectedError):
         build_all_decompositions(Graph([0, 1], {}), 2)
+
+
+# --- the pairing index changes nothing ----------------------------------
+
+def all_pairs_reference(g, t, budget):
+    """Reachability trying every (state, earlier state, symbol) triple:
+    the construction `materialize` must reproduce exactly."""
+    machine = DecompMachine(g, t)
+    known, order, transitions = {}, [], {}
+
+    def discover(children, sym):
+        for q in machine.step(children, sym):
+            tr = (children, sym, q)
+            if tr not in transitions:
+                transitions[tr] = None
+                budget.spend(1, "decompositions-of-g")
+            if q not in known:
+                known[q] = None
+                order.append(q)
+
+    for sym in machine.alphabet:
+        discover((), sym)
+    frontier = 0
+    while frontier < len(order):
+        q = order[frontier]
+        frontier += 1
+        for sym in machine.alphabet:
+            discover((q,), sym)
+            for other in order[:frontier]:
+                discover((q, other), sym)
+                if other is not q:
+                    discover((other, q), sym)
+    final = [q for q in order if machine.is_final(q)]
+    return order, final, list(transitions)
+
+
+# 3 labels stay cheap for the reference up to 3 vertices
+@pytest.mark.parametrize("t,max_vertices", [(2, 5), (3, 3)])
+def test_pairing_index_matches_all_pairs(t, max_vertices):
+    for name, g in connected_small_corpus():
+        if len(g.vertices) > max_vertices:
+            continue
+        ref_budget, new_budget = Budget(None), Budget(None)
+        order, final, transitions = all_pairs_reference(g, t, ref_budget)
+        aut = materialize(DecompMachine(g, t), new_budget)
+        assert list(aut.states) == order, name
+        assert aut.final == frozenset(final), name
+        assert list(aut.transitions) == transitions, name
+        assert new_budget.used == ref_budget.used == len(transitions), name
+
+
+def test_budget_exhausts_inside_decompositions():
+    with pytest.raises(ResourceExceededError) as err:
+        build_all_decompositions(cycle(4), 3, Budget(5000))
+    assert err.value.stage == "decompositions-of-g"
+    assert err.value.count == 5001
+
+
+# SHA-256 of the canonical JSON of build_all_decompositions(g, 3) as the
+# all-pairs construction builds it: the pairing index may not move a byte
+PINNED = {
+    "P3": (path(3), "26b316f8f2bf0e280712de4eef88206380ef6b03f3fe384b2f9a06a2972be80f"),
+    "multi3": (multi_edge(3), "3226435a40377588799800d8199a7f4e580dacba86390465b6a6e5f05779ab4c"),
+    "K3": (complete(3), "ded01dbd54ace9bd26203ac98fb8212c429747b814e236f0b26c67173888c674"),
+    "C4": (cycle(4), "5776d9f70048a76b4bd218bfec709306fdb046f168f57acb1878bf314576b594"),
+    "paw": (paw(), "cc9524b1dab99d292e4b2e2cfe845d0cd2a7d6cae3bb451fa60601734cb43730"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_decompositions_automaton_pinned(name):
+    g, digest = PINNED[name]
+    text = json.dumps(to_json(build_all_decompositions(g, 3)), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

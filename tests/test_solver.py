@@ -168,6 +168,21 @@ def test_compile_cache_hit_reported():
     assert stats["sub_closure"]["cached"] is False
 
 
+def test_stage_charges_sum_to_budget_used():
+    g, phi, t = path(3), no_isolated_vertex(), 1
+    clear_caches()
+    budget = Budget(None)
+    stats = has_supergraph(g, phi, t, budget=budget).stats
+    stages = ("compile", "sub_closure", "decompositions", "emptiness")
+    assert all(stats[s]["charged"] > 0 for s in stages)
+    assert sum(stats[s]["charged"] for s in stages) == budget.used
+    # warm caches charge nothing to used, and the stages say so
+    budget = Budget(None)
+    stats = has_supergraph(g, phi, t, budget=budget).stats
+    assert stats["compile"]["charged"] == stats["sub_closure"]["charged"] == 0
+    assert sum(stats[s]["charged"] for s in stages) == budget.used > 0
+
+
 # --- simplicity automaton ------------------------------------------------
 
 @pytest.mark.parametrize("t", [1, 2])

@@ -9,8 +9,8 @@ from supertw.terms import enumerate_terms, map_symbols, term
 from supertw.tree_automata import (TreeAutomaton, accepts, complement,
                                    determinize, extract_witness, from_json,
                                    intersect, intersection_nonempty, is_empty,
-                                   make_automaton, project, run, to_json, trim,
-                                   union)
+                                   make_automaton, project, reduce_bisim, run,
+                                   to_json, trim, union)
 from supertw.util import Budget
 
 AB = ["a", "b"]
@@ -173,6 +173,18 @@ def test_budget_enforced():
         intersect(a, b, budget=Budget(max_transitions=3))
     with pytest.raises(ResourceExceededError):
         determinize(a, budget=Budget(max_transitions=3))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_trim_and_reduce_check_the_deadline(seed):
+    a = random_automaton(seed, n_states=5)
+    for op, stage in ((trim, "trim"), (reduce_bisim, "reduce_bisim")):
+        with pytest.raises(ResourceExceededError) as err:
+            op(a, Budget(None, timeout_secs=-1))
+        assert err.value.stage == stage
+        live = Budget(None, timeout_secs=3600)
+        assert to_json(op(a, live)) == to_json(op(a))
+        assert live.used == 0
 
 
 def test_witness_deterministic_tie_break():
