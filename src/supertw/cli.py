@@ -21,8 +21,8 @@ from .cmso.compile import compile as compile_formula
 from .errors import SupertwError
 from .graph import Graph, graph_to_json, load_graph
 from .oracle import SupergraphBudget, exact_treewidth, search_supergraph
-from .solver import (DEFAULT_MAX_TRANSITIONS, has_supergraph, preset_formula,
-                     solve_named)
+from .solver import (DEFAULT_MAX_TRANSITIONS, _stage, _start, has_supergraph,
+                     preset_formula, solve_named)
 from .tree_automata import to_json as automaton_to_json
 from .util import Budget, osorted
 
@@ -90,8 +90,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    aut = compile_formula(_read_formula(args.formula), args.labels,
-                          _budget(args))
+    phi = _read_formula(args.formula)
+    budget = _budget(args)
+    stats = {}
+    start = _start(budget)
+    aut = compile_formula(phi, args.labels, budget)
+    _stage(stats, "compile", start, budget, aut)
     _write_json(args.out, automaton_to_json(aut))
     if args.stats:
         _write_json(args.stats, {
@@ -99,6 +103,8 @@ def cmd_compile(args) -> int:
             "final": len(aut.final),
             "transitions": len(aut.transitions),
             "alphabet": len(aut.alphabet),
+            "seconds": stats["compile"]["seconds"],
+            "charged": stats["compile"]["charged"],
         })
     return 0
 
@@ -156,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--labels", type=int, required=True,
                     help="number of bag labels t (width bound plus one)")
     pc.add_argument("--out", default="-", help="automaton JSON path, - for stdout")
-    pc.add_argument("--stats", help="write size stats JSON here")
+    pc.add_argument("--stats", help="write size, seconds and charged-transition "
+                                    "stats JSON here")
     _add_budget_flags(pc)
     pc.set_defaults(go=cmd_compile)
 

@@ -298,73 +298,80 @@ def functional_product(base, leaf_f, unary_f, binary_f, final_f, budget,
     functional state or None to reject.  The result runs over
     base.alphabet; a product state (q, m) is final iff q is base-final
     and final_f(m) holds.
+
+    Each product state is numbered when it is discovered: the result's
+    states are the dense ids 0..n-1 in discovery order, not (q, m) pairs.
+    Discovery order, transition emission order, deduplication and the
+    `budget.spend` calls are those of the pairs, and `to_json` numbers
+    states by position, so the dump is the one the pairs would give.
     """
+    alphabet = base.alphabet
+    bidx = {q: i for i, q in enumerate(base.states)}
+    aidx = {a: i for i, a in enumerate(alphabet)}
     leaf_trans = []
     un_by_child = {}
     bin_by_left = {}
     bin_by_right = {}
     for children, sym, tgt in base.transitions:
+        rule = (sym, aidx[sym], bidx[tgt])
         if not children:
-            leaf_trans.append((sym, tgt))
+            leaf_trans.append(rule)
         elif len(children) == 1:
-            un_by_child.setdefault(children[0], []).append((sym, tgt))
+            un_by_child.setdefault(bidx[children[0]], []).append(rule)
         else:
-            l, r = children
-            bin_by_left.setdefault(l, []).append((r, sym, tgt))
-            bin_by_right.setdefault(r, []).append((l, sym, tgt))
+            l, r = bidx[children[0]], bidx[children[1]]
+            bin_by_left.setdefault(l, []).append((r, rule))
+            bin_by_right.setdefault(r, []).append((l, rule))
 
-    states = {}
-    discovered = {}
-    transitions = {}
-    queue = deque()
+    # base states and symbols are read as their positions in base
+    ids = {}          # (base state, m) -> product state id
+    discovered = {}   # base state -> [(m, id)] in discovery order
+    transitions = {}  # (children ids, symbol, target id) -> None
+    queue = deque()   # (base state, m, id)
 
-    def add(qb, m):
+    def emit(children, si, qb, m):
+        """Transition into product state (qb, m), numbering it if new."""
         st = (qb, m)
-        if st not in states:
-            states[st] = None
-            discovered.setdefault(qb, []).append(m)
-            queue.append(st)
-
-    def emit(children, sym, tgt):
-        tr = (children, sym, tgt)
+        tgt = ids.get(st)
+        if tgt is None:
+            tgt = ids[st] = len(ids)
+            discovered.setdefault(qb, []).append((m, tgt))
+            queue.append((qb, m, tgt))
+        tr = (children, si, tgt)
         if tr not in transitions:
             transitions[tr] = None
             budget.spend(1, stage)
 
-    for sym, tgt in leaf_trans:
+    for sym, si, tgt in leaf_trans:
         m = leaf_f(sym)
         if m is None:
             continue
-        emit((), sym, (tgt, m))
-        add(tgt, m)
+        emit((), si, tgt, m)
 
     while queue:
-        st = queue.popleft()
-        qb, m = st
-        for sym, tgt in un_by_child.get(qb, ()):
+        qb, m, i = queue.popleft()
+        for sym, si, tgt in un_by_child.get(qb, ()):
             m2 = unary_f(m, sym)
             if m2 is None:
                 continue
-            emit((st,), sym, (tgt, m2))
-            add(tgt, m2)
-        for qb2, sym, tgt in bin_by_left.get(qb, ()):
-            for m2 in tuple(discovered.get(qb2, ())):
+            emit((i,), si, tgt, m2)
+        for qb2, (sym, si, tgt) in bin_by_left.get(qb, ()):
+            for m2, i2 in tuple(discovered.get(qb2, ())):
                 mm = binary_f(m, m2, sym)
                 if mm is None:
                     continue
-                emit((st, (qb2, m2)), sym, (tgt, mm))
-                add(tgt, mm)
-        for qb1, sym, tgt in bin_by_right.get(qb, ()):
-            for m1 in tuple(discovered.get(qb1, ())):
+                emit((i, i2), si, tgt, mm)
+        for qb1, (sym, si, tgt) in bin_by_right.get(qb, ()):
+            for m1, i1 in tuple(discovered.get(qb1, ())):
                 mm = binary_f(m1, m, sym)
                 if mm is None:
                     continue
-                emit(((qb1, m1), st), sym, (tgt, mm))
-                add(tgt, mm)
+                emit((i1, i), si, tgt, mm)
 
-    base_final = set(base.final)
-    final = [st for st in states if st[0] in base_final and final_f(st[1])]
-    return TreeAutomaton.raw(base.alphabet, states, final, transitions)
+    base_final = {bidx[q] for q in base.final}
+    final = [i for (qb, m), i in ids.items() if qb in base_final and final_f(m)]
+    return TreeAutomaton.raw(alphabet, range(len(ids)), final,
+                             [(ch, alphabet[si], q) for ch, si, q in transitions])
 
 
 class _SubsetSim:

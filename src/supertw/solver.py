@@ -229,6 +229,7 @@ def _reconstruct(g, phi, t1, a_g, phi_aut, sp, budget, simple, stats):
     if wterm is None:
         raise SupertwError("paired product empty despite nonempty plain product")
 
+    start = _start(budget)
     tsub = map_symbols(lambda p: p.sub, wterm)
     tsup = map_symbols(lambda p: p.sup, wterm)
     gsub = decode_graph(tsub)
@@ -255,6 +256,7 @@ def _reconstruct(g, phi, t1, a_g, phi_aut, sp, budget, simple, stats):
     # gsub's vertices and edges are literally gprime's (shared positions)
     if embeds_as_subgraph(g, relabeled) is None:
         raise SupertwError("embedding re-check failed after relabeling")
+    _stage(stats, "verify", start, budget)
     return Witness(relabeled, tsup, embedding)
 
 
@@ -299,7 +301,9 @@ def _decide(g, phi, t, simple, budget, want_witness):
 
     witness = None
     if answer and want_witness:
-        sp, _ = _sub_automaton(phi, t1, simple, True, budget)
+        start = _start(budget)
+        sp, cached = _sub_automaton(phi, t1, simple, True, budget)
+        _stage(stats, "sub_closure_paired", start, budget, sp, cached=cached)
         witness = _reconstruct(g, phi, t1, a_g, phi_aut, sp, budget,
                                simple, stats)
         stats["witness"] = {
@@ -316,7 +320,9 @@ def has_supergraph(g: Graph, phi, t: int, *, budget: Budget | None = None,
     phi must be a closed formula and g connected. The verdict's stats map
     carries per-stage state/transition counts, timings and `charged`, the
     transitions the stage added to the budget's `used`; with
-    want_witness a verified witness supergraph is attached on YES.
+    want_witness a verified witness supergraph is attached on YES, and
+    the stats add the `sub_closure_paired`, `paired_product` and `verify`
+    stages.
     """
     return _decide(g, phi, t, False, budget, want_witness)
 

@@ -130,74 +130,95 @@ def _check_same_alphabet(a: TreeAutomaton, b: TreeAutomaton, op):
         raise AlphabetMismatchError(f"{op}: operand alphabets differ")
 
 
+def _child_indexes(aut: TreeAutomaton):
+    """Per-symbol indexes for the worklist joins, one entry per alphabet
+    position: leaf targets [target], unary {child: [target]}, binary by
+    left child {child1: [(child2, target)]} and by right child {child2:
+    [(child1, target)]}, each list in transition order."""
+    idx = aut.index()
+    leaf, u, b1, b2 = [], [], [], []
+    for sym in aut.alphabet:
+        by_ar = idx.get(sym, {})
+        us, b1s, b2s = {}, {}, {}
+        for c, q in by_ar.get(1, ()):
+            us.setdefault(c[0], []).append(q)
+        for c, q in by_ar.get(2, ()):
+            b1s.setdefault(c[0], []).append((c[1], q))
+            b2s.setdefault(c[1], []).append((c[0], q))
+        leaf.append([q for _c, q in by_ar.get(0, ())])
+        u.append(us)
+        b1.append(b1s)
+        b2.append(b2s)
+    return leaf, u, b1, b2
+
+
 def intersect(a: TreeAutomaton, b: TreeAutomaton, budget: Budget | None = None):
-    """Product automaton restricted to reachable state pairs."""
+    """Product automaton restricted to reachable state pairs.
+
+    Each pair (qa, qb) is numbered when it is discovered, so the result's
+    states are the dense ids 0..n-1 in discovery order, not the pairs;
+    `to_json` numbers states by position, so the dump is the one the pair
+    states would give. Transitions come out in emission order, with one
+    `budget.spend` per new transition.
+    """
     _check_same_alphabet(a, b, "intersect")
     if budget is None:
         budget = Budget()
-    ai, bi = a.index(), b.index()
+    aL, aU, aB1, aB2 = _child_indexes(a)
+    bL, bU, bB1, bB2 = _child_indexes(b)
+    nsym = len(a.alphabet)
 
-    # per-symbol child indexes for the worklist join
-    def child_indexes(idx):
-        u = {}          # sym -> {child: [target]}
-        b1 = {}         # sym -> {child1: [(child2, target)]}
-        b2 = {}         # sym -> {child2: [(child1, target)]}
-        for sym, by_ar in idx.items():
-            for c, q in by_ar.get(1, []):
-                u.setdefault(sym, {}).setdefault(c[0], []).append(q)
-            for c, q in by_ar.get(2, []):
-                b1.setdefault(sym, {}).setdefault(c[0], []).append((c[1], q))
-                b2.setdefault(sym, {}).setdefault(c[1], []).append((c[0], q))
-        return u, b1, b2
+    ids = {}          # (qa, qb) -> product state id
+    agenda = deque()  # (qa, qb, id)
+    out = {}          # (children ids, symbol position, target id) -> None
 
-    aU, aB1, aB2 = child_indexes(ai)
-    bU, bB1, bB2 = child_indexes(bi)
-
-    pairs = {}
-    agenda = deque()
-    out = {}
-
-    def discover(p):
-        if p not in pairs:
-            pairs[p] = len(pairs)
-            agenda.append(p)
-
-    def emit(children, sym, target):
-        tr = (children, sym, target)
+    def emit(children, si, qa, qb):
+        """Transition into the pair (qa, qb), numbering it if new."""
+        p = (qa, qb)
+        target = ids.get(p)
+        if target is None:
+            target = ids[p] = len(ids)
+            agenda.append((qa, qb, target))
+        tr = (children, si, target)
         if tr not in out:
             out[tr] = None
             budget.spend(1, "intersect")
-        discover(target)
 
-    for sym in a.alphabet:
-        for ca, qa in ai.get(sym, {}).get(0, []):
-            for cb, qb in bi.get(sym, {}).get(0, []):
-                emit((), sym, (qa, qb))
+    for si in range(nsym):
+        for qa in aL[si]:
+            for qb in bL[si]:
+                emit((), si, qa, qb)
 
     while agenda:
-        p = agenda.popleft()
-        pa, pb = p
-        for sym in a.alphabet:
-            for qa in aU.get(sym, {}).get(pa, ()):
-                for qb in bU.get(sym, {}).get(pb, ()):
-                    emit((p,), sym, (qa, qb))
-            la = aB1.get(sym, {}).get(pa, ())
-            lb = bB1.get(sym, {}).get(pb, ())
+        pa, pb, p = agenda.popleft()
+        for si in range(nsym):
+            la = aU[si].get(pa)
+            lb = bU[si].get(pb)
+            if la and lb:
+                for qa in la:
+                    for qb in lb:
+                        emit((p,), si, qa, qb)
+            la = aB1[si].get(pa)
+            lb = bB1[si].get(pb)
             if la and lb:
                 for ca2, qa in la:
                     for cb2, qb in lb:
-                        if (ca2, cb2) in pairs:
-                            emit((p, (ca2, cb2)), sym, (qa, qb))
-            la = aB2.get(sym, {}).get(pa, ())
-            lb = bB2.get(sym, {}).get(pb, ())
+                        c = ids.get((ca2, cb2))
+                        if c is not None:
+                            emit((p, c), si, qa, qb)
+            la = aB2[si].get(pa)
+            lb = bB2[si].get(pb)
             if la and lb:
                 for ca1, qa in la:
                     for cb1, qb in lb:
-                        if (ca1, cb1) in pairs:
-                            emit(((ca1, cb1), p), sym, (qa, qb))
+                        c = ids.get((ca1, cb1))
+                        if c is not None:
+                            emit((c, p), si, qa, qb)
 
-    final = [p for p in pairs if p[0] in a.final and p[1] in b.final]
-    return TreeAutomaton.raw(a.alphabet, pairs, final, out)
+    final = [i for (qa, qb), i in ids.items() if qa in a.final and qb in b.final]
+    alphabet = a.alphabet
+    trs = [(ch, alphabet[si], q) for ch, si, q in out]
+    return TreeAutomaton.raw(alphabet, range(len(ids)), final, trs)
 
 
 def union(a: TreeAutomaton, b: TreeAutomaton):
@@ -290,31 +311,41 @@ def project(a: TreeAutomaton, f, alphabet=None):
     return TreeAutomaton.raw(osorted(set(alphabet)), a.states, a.final, trs)
 
 
-def _inhabited(aut: TreeAutomaton):
-    """States reachable by some term, discovered in a deterministic order."""
-    by_need = {}
-    leaf_targets = []
-    for children, _sym, q in aut.transitions:
-        if children:
-            for c in set(children):
-                by_need.setdefault(c, []).append((children, q))
-        else:
-            leaf_targets.append(q)
+def _inhabited(aut: TreeAutomaton) -> set:
+    """The set of states that some term reaches (Horn propagation).
+
+    One pass in transition order. A transition whose children are all
+    inhabited inhabits its target; one that still misses a child waits on
+    that child's watch list and is retried when the child becomes
+    inhabited. In automata built forwards (products, closures) a state's
+    first incoming rule comes before every rule that reads it, so nothing
+    waits there. The result is a set: it carries no order.
+    """
     alive = set()
-    agenda = deque()
-
-    def add(q):
-        if q not in alive:
+    watch = {}  # missing child -> [(children, target)] waiting on it
+    for children, _sym, q in aut.transitions:
+        if q in alive:
+            continue
+        for c in children:
+            if c not in alive:
+                watch.setdefault(c, []).append((children, q))
+                break
+        else:
             alive.add(q)
-            agenda.append(q)
-
-    for q in leaf_targets:
-        add(q)
-    while agenda:
-        s = agenda.popleft()
-        for children, q in by_need.get(s, ()):
-            if q not in alive and all(c in alive for c in children):
-                add(q)
+            if not watch:
+                continue
+            woken = [q]
+            while woken:
+                for ch, t in watch.pop(woken.pop(), ()):
+                    if t in alive:
+                        continue
+                    for c in ch:
+                        if c not in alive:
+                            watch.setdefault(c, []).append((ch, t))
+                            break
+                    else:
+                        alive.add(t)
+                        woken.append(t)
     return alive
 
 
@@ -322,129 +353,175 @@ def is_empty(aut: TreeAutomaton) -> bool:
     return not (_inhabited(aut) & aut.final)
 
 
+def _within(trs, keep):
+    """The transitions whose target and children all lie in `keep`."""
+    return [tr for tr in trs if tr[2] in keep
+            and (not tr[0] or (tr[0][0] in keep
+                               and (len(tr[0]) == 1 or tr[0][1] in keep)))]
+
+
 def trim(aut: TreeAutomaton, budget: Budget | None = None) -> TreeAutomaton:
     """Drop states that no term reaches or that cannot lead to acceptance.
+
+    The kept states, final states and transitions stay in the input's
+    order, so a dump of the result does not depend on how the states are
+    encoded (dense ints or deep tuples). When every state is inhabited the
+    first filter is skipped, and when every inhabited state is useful the
+    second; with nothing to drop, the input itself is returned.
 
     With a budget, its deadline is checked before each of the two passes."""
     if budget is not None:
         budget.check_time("trim")
     alive = _inhabited(aut)
-    live_trs = [tr for tr in aut.transitions
-                if tr[2] in alive and all(c in alive for c in tr[0])]
+    all_alive = len(alive) == len(aut.states)
+    live_trs = aut.transitions if all_alive else _within(aut.transitions, alive)
     back = {}
     for children, _sym, q in live_trs:
-        back.setdefault(q, []).append(children)
-    useful = set()
-    agenda = deque(q for q in aut.final if q in alive)
-    useful.update(agenda)
+        if children:
+            back.setdefault(q, []).append(children)
+    useful = {q for q in aut.final if q in alive}
+    agenda = list(useful)
     while agenda:
-        q = agenda.popleft()
-        for children in back.get(q, ()):
+        for children in back.get(agenda.pop(), ()):
             for c in children:
                 if c not in useful:
                     useful.add(c)
                     agenda.append(c)
     if budget is not None:
         budget.check_time("trim")
-    trs = [tr for tr in live_trs
-           if tr[2] in useful and all(c in useful for c in tr[0])]
+    if len(useful) == len(alive):
+        if all_alive:
+            return aut
+        trs = live_trs
+    else:
+        trs = _within(live_trs, useful)
     final = [q for q in aut.final if q in useful]
     states = [q for q in aut.states if q in useful]
     return TreeAutomaton.raw(aut.alphabet, states, final, trs)
 
 
-def _refine(n, block0, sig_of, budget=None):
-    """Partition refinement: split blocks by sig_of(current blocks) until
-    stable. Block ids are dense ints in first-seen state order. With a
-    budget, its deadline is checked once per round."""
-    block = block0
-    nblocks = len(set(block))
+def _refine(n, sig_of, budget=None):
+    """Partition refinement of states 0..n-1, starting from one block:
+    split blocks by sig_of(current blocks, their count) until stable.
+    Block ids are dense ints in first-seen state order. With a budget,
+    its deadline is checked once per round."""
+    block = [0] * n
+    nblocks = 1 if n else 0
     while True:
         if budget is not None:
             budget.check_time("reduce_bisim")
-        sigs = sig_of(block)
+        sigs = sig_of(block, nblocks)
         remap: dict = {}
-        newblock = [0] * n
-        for i in range(n):
-            k = (block[i], sigs[i])
-            b = remap.get(k)
-            if b is None:
-                b = len(remap)
-                remap[k] = b
-            newblock[i] = b
+        newblock = [remap.setdefault((block[i], sigs[i]), len(remap))
+                    for i in range(n)]
         if len(remap) == nblocks:
-            return newblock
+            return newblock, nblocks
         block, nblocks = newblock, len(remap)
 
 
-def _quotient(aut: TreeAutomaton, block, sidx):
-    # always relabel to dense ints: downstream subset constructions hash
-    # and store states constantly, and deep product tuples make that slow
-    nblocks = len(set(block))
-    out = dict.fromkeys((tuple(block[sidx[c]] for c in ch), sym, block[sidx[q]])
-                        for ch, sym, q in aut.transitions)
-    final = sorted({block[sidx[q]] for q in aut.final})
-    return TreeAutomaton.raw(aut.alphabet, range(nblocks), final, out)
+def _by_arity(trs):
+    """Split int transitions into leaf (target, symbol), unary (child,
+    symbol, target) and binary (left, right, symbol, target) lists."""
+    leaves, unary, binary = [], [], []
+    for ch, sy, q in trs:
+        if not ch:
+            leaves.append((q, sy))
+        elif len(ch) == 1:
+            unary.append((ch[0], sy, q))
+        else:
+            binary.append((ch[0], ch[1], sy, q))
+    return leaves, unary, binary
 
 
-def _reduce_backward(aut: TreeAutomaton, budget=None) -> TreeAutomaton:
-    """Quotient by the coarsest backward bisimulation: states merge when
-    they are reachable by exactly the same terms, so the language survives
-    however finality mixes inside a block."""
-    sidx = {s: i for i, s in enumerate(aut.states)}
-    aidx = {a: i for i, a in enumerate(aut.alphabet)}
-    trs = [(tuple(sidx[c] for c in ch), aidx[sym], sidx[q])
-           for ch, sym, q in aut.transitions]
-    n = len(aut.states)
-
-    def sig_of(block):
-        sigs: list[list] = [[] for _ in range(n)]
-        for ch, sy, q in trs:
-            sigs[q].append((sy, tuple(block[c] for c in ch)))
+def _backward_sigs(n, fin, leaves, unary, binary):
+    """Signature of state q: the rules into q, children read as blocks.
+    Keys: ~symbol for a leaf rule, even for unary, odd for binary rules.
+    Finality does not enter it."""
+    def sig_of(block, nb):
+        sigs = [[] for _ in range(n)]
+        for q, sy in leaves:
+            sigs[q].append(~sy)
+        for c, sy, q in unary:
+            sigs[q].append(2 * (sy * nb + block[c]))
+        for l, r, sy, q in binary:
+            sigs[q].append(2 * ((sy * nb + block[l]) * nb + block[r]) + 1)
         return [frozenset(s) for s in sigs]
-
-    block = _refine(n, [0] * n, sig_of, budget)
-    return _quotient(aut, block, sidx)
+    return sig_of
 
 
-def _reduce_forward(aut: TreeAutomaton, budget=None) -> TreeAutomaton:
-    """Quotient by a forward bisimulation: equally final states merge when
-    every rule using one at position i (with the same concrete siblings)
-    has a matching rule using the other into an equivalent target."""
-    sidx = {s: i for i, s in enumerate(aut.states)}
-    aidx = {a: i for i, a in enumerate(aut.alphabet)}
-    trs = [(tuple(sidx[c] for c in ch), aidx[sym], sidx[q])
-           for ch, sym, q in aut.transitions]
-    n = len(aut.states)
-    fin = [1 if s in aut.final else 0 for s in aut.states]
-
-    def sig_of(block):
-        sigs: list[list] = [[] for _ in range(n)]
-        for ch, sy, q in trs:
+def _forward_sigs(n, fin, leaves, unary, binary):
+    """Signature of state c: its finality (key -1) and the rules reading c,
+    as (symbol, position, concrete sibling or none, target block)."""
+    def sig_of(block, nb):
+        sigs = [[-1] if i in fin else [] for i in range(n)]
+        for c, sy, q in unary:
+            sigs[c].append(2 * sy * (n + 1) * nb + block[q])
+        for l, r, sy, q in binary:
             bq = block[q]
-            if len(ch) == 1:
-                sigs[ch[0]].append((sy, 0, -1, bq))
-            elif ch:
-                l, r = ch
-                sigs[l].append((sy, 0, r, bq))
-                sigs[r].append((sy, 1, l, bq))
-        return [(fin[i], frozenset(sigs[i])) for i in range(n)]
-
-    block = _refine(n, [0] * n, sig_of, budget)
-    return _quotient(aut, block, sidx)
+            sigs[l].append((2 * sy * (n + 1) + r + 1) * nb + bq)
+            sigs[r].append(((2 * sy + 1) * (n + 1) + l + 1) * nb + bq)
+        return [frozenset(s) for s in sigs]
+    return sig_of
 
 
 def reduce_bisim(aut: TreeAutomaton, budget: Budget | None = None) -> TreeAutomaton:
     """Shrink an automaton by alternating backward and forward
     bisimulation quotients until neither merges anything. The language is
     unchanged; the result is typically far smaller after projections and
-    products have multiplied equivalent states. With a budget, its
-    deadline is checked once per refinement round."""
+    products have multiplied equivalent states.
+
+    Backward: states merge when they are reachable by exactly the same
+    terms, so the language survives however finality mixes inside a
+    block. Forward: equally final states merge when every rule using one
+    at position i (with the same concrete siblings) has a matching rule
+    using the other into an equivalent target.
+
+    States and symbols are encoded once as their positions, refinement
+    runs on per-arity int lists, and the result is decoded once. A pass
+    that merges something quotients the int transitions: they are
+    deduplicated in first-occurrence order and the blocks numbered in
+    first-seen state order. The result's states are therefore 0..n-1 in
+    the order `to_json` numbers them, and its dump does not depend on how
+    the input's states are encoded. When nothing merges, the result is
+    the input relabelled by position: the input itself if its states
+    already are 0..n-1. With a budget, its deadline is checked once per
+    refinement round."""
+    states, alphabet = aut.states, aut.alphabet
+    n = len(states)
+    dense = states == tuple(range(n))
+    aidx = {a: i for i, a in enumerate(alphabet)}
+    if dense:
+        trs = [(ch, aidx[sym], q) for ch, sym, q in aut.transitions]
+        fin = set(aut.final)
+    else:
+        sidx = {s: i for i, s in enumerate(states)}
+        trs = [(tuple([sidx[c] for c in ch]), aidx[sym], sidx[q])
+               for ch, sym, q in aut.transitions]
+        fin = {sidx[q] for q in aut.final}
+    arity = _by_arity(trs)
+    merged = False
     while True:
-        before = len(aut.states)
-        aut = _reduce_forward(_reduce_backward(aut, budget), budget)
-        if len(aut.states) == before:
+        before = n
+        for make_sigs in (_backward_sigs, _forward_sigs):
+            block, nb = _refine(n, make_sigs(n, fin, *arity), budget)
+            if nb == n:
+                continue
+            trs = list(dict.fromkeys(
+                (ch if not ch else (block[ch[0]],) if len(ch) == 1
+                 else (block[ch[0]], block[ch[1]]), sy, block[q])
+                for ch, sy, q in trs))
+            fin = {block[q] for q in fin}
+            n = nb
+            arity = _by_arity(trs)
+            merged = True
+        if n == before:
+            break
+    if not merged:
+        if dense:
             return aut
+        trs = dict.fromkeys(trs)
+    return TreeAutomaton.raw(alphabet, range(n), fin,
+                             [(ch, alphabet[sy], q) for ch, sy, q in trs])
 
 
 def extract_witness(aut: TreeAutomaton):
@@ -494,20 +571,8 @@ def intersection_nonempty(a: TreeAutomaton, b: TreeAutomaton,
     _check_same_alphabet(a, b, "intersection_nonempty")
     if budget is None:
         budget = Budget()
-    ai, bi = a.index(), b.index()
-
-    def child_indexes(idx):
-        u, b1, b2 = {}, {}, {}
-        for sym, by_ar in idx.items():
-            for c, q in by_ar.get(1, []):
-                u.setdefault(sym, {}).setdefault(c[0], []).append(q)
-            for c, q in by_ar.get(2, []):
-                b1.setdefault(sym, {}).setdefault(c[0], []).append((c[1], q))
-                b2.setdefault(sym, {}).setdefault(c[1], []).append((c[0], q))
-        return u, b1, b2
-
-    aU, aB1, aB2 = child_indexes(ai)
-    bU, bB1, bB2 = child_indexes(bi)
+    aL, aU, aB1, aB2 = _child_indexes(a)
+    bL, bU, bB1, bB2 = _child_indexes(b)
     pairs = set()
     agenda = deque()
 
@@ -522,26 +587,26 @@ def intersection_nonempty(a: TreeAutomaton, b: TreeAutomaton,
             return hit(p)
         return False
 
-    for sym in a.alphabet:
-        for _ca, qa in ai.get(sym, {}).get(0, []):
-            for _cb, qb in bi.get(sym, {}).get(0, []):
+    for la, lb in zip(aL, bL):
+        for qa in la:
+            for qb in lb:
                 if discover((qa, qb)):
                     return True
 
     while agenda:
         p = agenda.popleft()
         pa, pb = p
-        for sym in a.alphabet:
-            for qa in aU.get(sym, {}).get(pa, ()):
-                for qb in bU.get(sym, {}).get(pb, ()):
+        for si in range(len(a.alphabet)):
+            for qa in aU[si].get(pa, ()):
+                for qb in bU[si].get(pb, ()):
                     if discover((qa, qb)):
                         return True
-            la, lb = aB1.get(sym, {}).get(pa, ()), bB1.get(sym, {}).get(pb, ())
+            la, lb = aB1[si].get(pa, ()), bB1[si].get(pb, ())
             for ca2, qa in la:
                 for cb2, qb in lb:
                     if (ca2, cb2) in pairs and discover((qa, qb)):
                         return True
-            la, lb = aB2.get(sym, {}).get(pa, ()), bB2.get(sym, {}).get(pb, ())
+            la, lb = aB2[si].get(pa, ()), bB2[si].get(pb, ())
             for ca1, qa in la:
                 for cb1, qb in lb:
                     if (ca1, cb1) in pairs and discover((qa, qb)):

@@ -94,6 +94,8 @@ def test_compile_roundtrip_and_determinism(tmp_path):
         outs.append(out.read_bytes())
         sizes = json.loads(stats.read_text())
         assert sizes["states"] > 0 and sizes["transitions"] > 0
+        assert isinstance(sizes["seconds"], float) and sizes["seconds"] >= 0
+        assert isinstance(sizes["charged"], int) and sizes["charged"] > 0
     assert outs[0] == outs[1]
 
 

@@ -6,24 +6,31 @@ satisfies phi. The heavy exhaustive sweeps live in test_acceptance; here
 the same comparison runs at reduced depth plus targeted regressions.
 """
 
+import hashlib
+import json
 import random
+from collections import deque
+from pathlib import Path
 
 import pytest
 
-from supertw.cmso.ast import (And, Exists, Forall, Inc, Not, Or, Var, VarEq,
-                              VarKind)
-from supertw.cmso.compile import (_COMPILE_CACHE, compile as compile_formula,
-                                  compile_open, interpreted_alphabet,
-                                  validity_automaton)
+from supertw.cmso.ast import (And, Card, Exists, Forall, Inc, MemV, Not, Or,
+                              Var, VarEq, VarKind)
+from supertw.cmso.compile import (_COMPILE_CACHE, _SubsetSim, _atom_steps,
+                                  compile as compile_formula, compile_open,
+                                  functional_product, interpreted_alphabet,
+                                  subtract_on_validity, validity_automaton)
 from supertw.cmso.evaluate import eval_direct
 from supertw.cmso.generators import (even_order, gen_diam, gen_vertex_cover,
                                      no_isolated_vertex, some_vertex,
                                      tautology)
+from supertw.cmso.parser import parse
 from supertw.decomp import bag_alphabet, decode_graph, s_maximal_components
 from supertw.errors import CmsoKindError, ResourceExceededError
 from supertw.solver import clear_caches
 from supertw.terms import enumerate_terms, map_symbols
-from supertw.tree_automata import accepts, reduce_bisim
+from supertw.tree_automata import (TreeAutomaton, accepts, reduce_bisim,
+                                   to_json, trim)
 from supertw.util import Budget
 
 FORMULAS = [
@@ -251,3 +258,126 @@ def test_compile_open_agrees_with_assignment_eval():
                     value = (s, root)
         assert value is not None
         assert got == eval_direct(phi, g, {x: value})
+
+
+# --- dense product ids change nothing -------------------------------------
+
+def functional_product_reference(base, leaf_f, unary_f, binary_f, final_f,
+                                 budget, stage):
+    """The product over (q, m) pair states that `functional_product`
+    replaced: its dump, order included, must come out unchanged."""
+    leaf_trans, un_by_child, bin_by_left, bin_by_right = [], {}, {}, {}
+    for children, sym, tgt in base.transitions:
+        if not children:
+            leaf_trans.append((sym, tgt))
+        elif len(children) == 1:
+            un_by_child.setdefault(children[0], []).append((sym, tgt))
+        else:
+            l, r = children
+            bin_by_left.setdefault(l, []).append((r, sym, tgt))
+            bin_by_right.setdefault(r, []).append((l, sym, tgt))
+    states, discovered, transitions = {}, {}, {}
+    queue = deque()
+
+    def add(qb, m):
+        st = (qb, m)
+        if st not in states:
+            states[st] = None
+            discovered.setdefault(qb, []).append(m)
+            queue.append(st)
+
+    def emit(children, sym, tgt):
+        tr = (children, sym, tgt)
+        if tr not in transitions:
+            transitions[tr] = None
+            budget.spend(1, stage)
+
+    for sym, tgt in leaf_trans:
+        m = leaf_f(sym)
+        if m is not None:
+            emit((), sym, (tgt, m))
+            add(tgt, m)
+    while queue:
+        st = queue.popleft()
+        qb, m = st
+        for sym, tgt in un_by_child.get(qb, ()):
+            m2 = unary_f(m, sym)
+            if m2 is not None:
+                emit((st,), sym, (tgt, m2))
+                add(tgt, m2)
+        for qb2, sym, tgt in bin_by_left.get(qb, ()):
+            for m2 in tuple(discovered.get(qb2, ())):
+                mm = binary_f(m, m2, sym)
+                if mm is not None:
+                    emit((st, (qb2, m2)), sym, (tgt, mm))
+                    add(tgt, mm)
+        for qb1, sym, tgt in bin_by_right.get(qb, ()):
+            for m1 in tuple(discovered.get(qb1, ())):
+                mm = binary_f(m1, m, sym)
+                if mm is not None:
+                    emit(((qb1, m1), st), sym, (tgt, mm))
+                    add(tgt, mm)
+    base_final = set(base.final)
+    final = [st for st in states if st[0] in base_final and final_f(st[1])]
+    return TreeAutomaton.raw(base.alphabet, states, final, transitions)
+
+
+_X = Var("x", VarKind.VERTEX)
+_Y = Var("y", VarKind.VERTEX)
+_XS = Var("X", VarKind.VERTEX_SET)
+_E = Var("e", VarKind.EDGE)
+_ES = Var("E", VarKind.EDGE_SET)
+ATOMS = {
+    "eq": (VarEq(_X, _Y), (_X, _Y)),
+    "mem": (MemV(_X, _XS), (_X, _XS)),
+    "inc": (Inc(_X, _E), (_X, _E)),
+    "card_v": (Card(1, 2, _XS), (_XS,)),
+    "card_e": (Card(0, 2, _ES), (_ES,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ATOMS))
+def test_functional_product_matches_reference(name):
+    phi, xs = ATOMS[name]
+    val = validity_automaton(2, xs)
+    new, ref = Budget(None), Budget(None)
+    atom = functional_product(val, *_atom_steps(phi), new, "atom")
+    want = functional_product_reference(val, *_atom_steps(phi), ref, "atom")
+    assert to_json(atom) == to_json(want)
+    assert new.used == ref.used == len(atom.transitions)
+    # the complement, as negation runs it: subset states of the reduced atom
+    other = reduce_bisim(trim(atom))
+    sim = _SubsetSim(other)
+    new, ref = Budget(None), Budget(None)
+    got = subtract_on_validity(val, other, new)
+    want = functional_product_reference(
+        val, lambda sym: (sim.leaf(sym),),
+        lambda m, sym: (sim.unary(m[0], sym),),
+        lambda m1, m2, sym: (sim.binary(m1[0], m2[0], sym),),
+        lambda m: not sim.hit(m[0]), ref, "not")
+    assert to_json(got) == to_json(want)
+    assert new.used == ref.used
+
+
+# SHA-256 of the canonical JSON of compile(phi, 3) as the generic kernels
+# over (q, m) pair states built it: dense ids may not move a byte
+FORMULA_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "formulas"
+PINNED_COMPILE = {
+    "diam1": (lambda: gen_diam(1),
+              "2015c9057c01fcb69b8c174a0384948681f8f8f93fb486b17eaf9439d7817d06"),
+    "vc1": (lambda: gen_vertex_cover(1),
+            "365916bb06b270062c6cf276e00dbb98e446ca666372cbd43289741695f0e22a"),
+    "even_order": (lambda: parse((FORMULA_DIR / "even_order.cmso").read_text()),
+                   "42ac45d860fde03ce9523348f1d97152bae1e0449b315b6568e668800075cf0b"),
+    "no_isolated_vertex": (
+        lambda: parse((FORMULA_DIR / "no_isolated_vertex.cmso").read_text()),
+        "6f20800f982a54d8ccaf8c48521ada749abfde9fb3adc3c1a7ad9c4e9285adac"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_COMPILE))
+def test_compiled_formula_pinned(name):
+    make, digest = PINNED_COMPILE[name]
+    clear_caches()  # a real build, not a cache hit
+    text = json.dumps(to_json(compile_formula(make(), 3)), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -181,6 +181,17 @@ def test_stage_charges_sum_to_budget_used():
     stats = has_supergraph(g, phi, t, budget=budget).stats
     assert stats["compile"]["charged"] == stats["sub_closure"]["charged"] == 0
     assert sum(stats[s]["charged"] for s in stages) == budget.used > 0
+    # a witness solve adds the paired closure, the paired product and the
+    # re-check; the paired closure is built on the first and cached after
+    stages += ("sub_closure_paired", "paired_product", "verify")
+    for cached in (False, True):
+        budget = Budget(None)
+        stats = has_supergraph(g, phi, t, budget=budget, want_witness=True).stats
+        assert stats["sub_closure_paired"]["cached"] is cached
+        assert (stats["sub_closure_paired"]["charged"] > 0) is not cached
+        assert stats["sub_closure_paired"]["states"] > 0
+        assert stats["verify"]["charged"] == 0 and stats["verify"]["seconds"] >= 0
+        assert sum(stats[s]["charged"] for s in stages) == budget.used > 0
 
 
 # --- simplicity automaton ------------------------------------------------
