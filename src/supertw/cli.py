@@ -18,7 +18,6 @@ import sys
 
 from .cmso.parser import parse as parse_formula
 from .cmso.compile import compile as compile_formula
-from .errors import SupertwError
 from .graph import Graph, graph_to_json, load_graph
 from .oracle import SupergraphBudget, exact_treewidth, search_supergraph
 from .solver import (DEFAULT_MAX_TRANSITIONS, _stage, _start, has_supergraph,
@@ -197,7 +196,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.go(args)
-    except (SupertwError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except Exception as exc:
+        # MemoryError included: uncaught, it would exit 1, which means NO
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2

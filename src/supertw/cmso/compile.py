@@ -36,7 +36,7 @@ from ..errors import AlphabetMismatchError, CmsoKindError
 from ..tree_automata import (TreeAutomaton, project, reduce_bisim,
                              register_symbol_codec,
                              trim)
-from ..util import Budget, ChargedCache, osorted, register_cache
+from ..util import Budget, ChargedCache, gc_paused, osorted, register_cache
 from .ast import (And, Card, Exists, FalseF, Forall, Iff, Implies, Inc, MemE,
                   MemV, Not, Or, TrueF, Var, VarEq, VarKind, free_vars,
                   standardize, substitute)
@@ -777,12 +777,14 @@ def compile_open(phi, t: int, xvars, budget=None) -> TreeAutomaton:
 _COMPILE_CACHE = ChargedCache("compile")
 
 
+@gc_paused()
 def compile(phi, t: int, budget=None) -> TreeAutomaton:
     """Automaton over B(t) accepting exactly the t-label decomposition
     terms whose decoded graph satisfies the sentence phi.
 
     Results are cached per (phi, t); a hit is charged to the budget at
-    its cold cost, as `Budget` describes."""
+    its cold cost, as `Budget` describes. Runs with the cyclic garbage
+    collector paused, as `util.gc_paused` describes."""
     if free_vars(phi):
         raise CmsoKindError("compile requires a sentence (no free variables)")
     if budget is None:
@@ -802,6 +804,3 @@ def _compile_sentence(phi, t, budget):
     base_of = {sym: sym.bag for sym in aut.alphabet}
     return reduce_bisim(trim(project(aut, lambda sym: base_of[sym],
                                      bag_alphabet(t)), budget), budget)
-
-
-compile_sentence = compile

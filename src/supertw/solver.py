@@ -20,6 +20,16 @@ answers to the solve's `Budget` at that cost without adding to its `used`
 count: a solve raises or returns as it would from empty caches, while
 `used` counts only the transitions this solve materialized.
 `clear_caches()` empties every cache in the registry.
+
+Each solve runs with Python's cyclic garbage collector paused
+(`util.gc_paused`): the automata hold hundreds of thousands of
+long-lived, acyclic container objects, and full collections over them
+took close to half of a cold solve. Reference counting still frees what
+the solve drops, and the collector is re-enabled when the solve returns
+or raises. The
+collector state is process-wide, so a thread running beside a solve may
+see it paused. A collector that was already disabled, by the caller or
+by an enclosing solve, is left as it was found.
 """
 
 from __future__ import annotations
@@ -41,7 +51,8 @@ from .terms import map_symbols
 from .tree_automata import (TreeAutomaton, accepts, extract_witness,
                             intersect, intersection_nonempty, reduce_bisim,
                             trim)
-from .util import Budget, ChargedCache, clear_registered_caches, osorted
+from .util import (Budget, ChargedCache, clear_registered_caches, gc_paused,
+                   osorted)
 
 # compile(gen_diam(1), 4) alone processes a few 10^7 transitions, so the
 # solver's default meter is roomier than the library-wide Budget default
@@ -270,6 +281,7 @@ def _has_parallel_edges(g: Graph) -> bool:
     return False
 
 
+@gc_paused()
 def _decide(g, phi, t, simple, budget, want_witness):
     if t < 1:
         raise ValueError("treewidth bound must be at least 1")

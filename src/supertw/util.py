@@ -1,4 +1,4 @@
-"""Ordering and budget helpers used by every construction.
+"""Ordering, budget and collector helpers used by every construction.
 
 Everything in this package that emits or iterates collections does so in a
 deterministic order so that two runs on the same input produce byte-identical
@@ -9,7 +9,9 @@ symbol dataclasses, which expose a `sort_key()`).
 
 from __future__ import annotations
 
+import gc
 import time
+from contextlib import contextmanager
 
 from .errors import ResourceExceededError
 
@@ -36,6 +38,29 @@ def ordkey(x):
 
 def osorted(xs):
     return sorted(xs, key=ordkey)
+
+
+@contextmanager
+def gc_paused():
+    """Disable the cyclic garbage collector for the duration, if enabled.
+
+    A pipeline run allocates a few container objects per automaton
+    transition (tuples, frozenset states, symbols). They live until the
+    run ends and almost never form cycles, yet every full collection walks
+    all of them; reference counting frees the acyclic garbage either way.
+    The collector state is process-wide, so a thread running beside the
+    body sees it paused too. When the collector is already disabled on
+    entry, nothing changes: nested uses and a caller's own `gc.disable()`
+    are left as they were found. Usable as a `with` block or a decorator.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 DEFAULT_MAX_TRANSITIONS = 10_000_000

@@ -1,6 +1,32 @@
-"""Small graph builders shared across the test suite."""
+"""Small graph builders and helpers shared across the test suite."""
+
+import gc
+import inspect
+import sys
 
 from supertw.graph import Graph
+
+
+def collections_inside(entry, call):
+    """Run call(); return the generation of every cyclic-GC collection that
+    started while the body of `entry` (undecorated) was on the call stack."""
+    code = inspect.unwrap(entry).__code__
+    seen = []
+
+    def on_gc(phase, info):
+        frame = sys._getframe(1)
+        while phase == "start" and frame is not None:
+            if frame.f_code is code:
+                seen.append(info["generation"])
+                break
+            frame = frame.f_back
+
+    gc.callbacks.append(on_gc)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(on_gc)
+    return seen
 
 
 def path(n):

@@ -7,6 +7,7 @@ subcommands.
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -150,3 +151,22 @@ def test_solve_edge_list_input(tmp_path):
     res = run_cli(["solve", "--graph", str(p), "--preset", "diam=1",
                    "--treewidth", "2"])
     assert res.returncode == 0
+
+
+def test_out_of_memory_is_an_error_not_no(tmp_path):
+    # an uncaught MemoryError would exit 1, the code for NO
+    p = tmp_path / "p3.txt"
+    p.write_text("0 1\n1 2\n")
+    limit = 150 * 1024 ** 2
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    res = subprocess.run(
+        [sys.executable, "-m", "supertw.cli", "solve", "--graph", str(p),
+         "--preset", "diam=2", "--treewidth", "2"],
+        capture_output=True, text=True, preexec_fn=cap_address_space,
+        env=dict(os.environ, PYTHONHASHSEED="0"))
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == ""
+    assert set(json.loads(res.stderr)) == {"error", "message"}

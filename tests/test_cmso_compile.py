@@ -6,6 +6,7 @@ satisfies phi. The heavy exhaustive sweeps live in test_acceptance; here
 the same comparison runs at reduced depth plus targeted regressions.
 """
 
+import gc
 import hashlib
 import json
 import random
@@ -32,6 +33,7 @@ from supertw.terms import enumerate_terms, map_symbols
 from supertw.tree_automata import (TreeAutomaton, accepts, reduce_bisim,
                                    to_json, trim)
 from supertw.util import Budget
+from corpus import collections_inside
 
 FORMULAS = [
     ("some_vertex", some_vertex()),
@@ -107,6 +109,14 @@ def test_compile_rejects_open_formula():
 def test_budget_exhausts():
     with pytest.raises(ResourceExceededError):
         compile_formula(gen_diam(1), 3, Budget(200))
+    assert gc.isenabled()
+
+
+def test_cold_compile_runs_no_collection():
+    clear_caches()
+    assert collections_inside(
+        compile_formula, lambda: compile_formula(gen_diam(1), 3)) == []
+    assert gc.isenabled()
 
 
 # --- cache hits answer to the budget ------------------------------------

@@ -4,6 +4,7 @@ The expensive golden (P4 at treewidth 3) and the full oracle agreement
 sweep live in test_acceptance; everything here runs at 2-3 bag labels.
 """
 
+import gc
 import json
 import random
 
@@ -20,6 +21,7 @@ from supertw.errors import (CmsoKindError, NotConnectedError,
                             ResourceExceededError)
 from supertw.graph import Graph, embeds_as_subgraph, is_isomorphic
 from supertw.oracle import SupergraphBudget, exact_treewidth, search_supergraph
+from supertw import solver
 from supertw.solver import (clear_caches, has_supergraph, lift_to_pairs,
                             preset_formula, simple_automaton, solve_named,
                             witness_supergraph)
@@ -27,7 +29,7 @@ from supertw.subdecomp import pair_alphabet
 from supertw.terms import enumerate_terms, map_symbols
 from supertw.tree_automata import TreeAutomaton, accepts
 from supertw.util import Budget
-from corpus import cycle, path, single_vertex
+from corpus import collections_inside, cycle, path, single_vertex
 
 DIAM1 = gen_diam(1)
 
@@ -234,3 +236,56 @@ def test_witness_is_reproducible():
     g1, g2 = first[0], second[0]
     assert sorted(g1.vertices) == sorted(g2.vertices)
     assert {e: g1.ends[e] for e in g1.edges} == {e: g2.ends[e] for e in g2.edges}
+
+
+# --- collector pause --------------------------------------------------------
+
+def test_solve_restores_the_collector():
+    assert gc.isenabled()
+    assert witness_supergraph(path(3), DIAM1, 2) is not None
+    assert gc.isenabled()
+    assert not has_supergraph(path(4), DIAM1, 2).answer
+    assert gc.isenabled()
+    clear_caches()
+    try:
+        with pytest.raises(ResourceExceededError):
+            has_supergraph(cycle(4), DIAM1, 2, budget=Budget(5000))
+        assert gc.isenabled()
+    finally:
+        clear_caches()
+
+
+def test_solve_leaves_a_disabled_collector_disabled():
+    gc.disable()
+    try:
+        assert has_supergraph(path(3), DIAM1, 2).answer
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_cold_solve_runs_no_collection():
+    clear_caches()
+    assert collections_inside(
+        solver._decide,
+        lambda: witness_supergraph(path(3), DIAM1, 2)) == []
+
+
+def test_paused_solve_leaves_little_cyclic_garbage():
+    # the pause rests on the pipeline's objects being acyclic: a cycle
+    # left per transition would grow memory unchecked during a solve
+    clear_caches()
+    gc.collect()
+    collected = []
+
+    def on_gc(phase, info):
+        if phase == "stop":
+            collected.append(info["collected"])
+
+    gc.callbacks.append(on_gc)
+    try:
+        witness_supergraph(path(3), DIAM1, 2)
+        gc.collect()
+    finally:
+        gc.callbacks.remove(on_gc)
+    assert sum(collected) < 1000
