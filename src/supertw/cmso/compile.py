@@ -304,14 +304,22 @@ def functional_product(base, leaf_f, unary_f, binary_f, final_f, budget,
     Discovery order, transition emission order, deduplication and the
     `budget.spend` calls are those of the pairs, and `to_json` numbers
     states by position, so the dump is the one the pairs would give.
+
+    States are popped in id order. The pop of state i joins i, once per
+    binary rule, with a snapshot of the partners discovered so far, and
+    skips those that met i at their own pop: each pair of states meets
+    once per rule, with the same emissions. Say the pop of `born` found i.
+    A partner popped after `born` and before i met i at its own pop; so
+    did `born` if its snapshot for the rule came after it found i; and on
+    the right, so did i itself, on the left.
     """
     alphabet = base.alphabet
     bidx = {q: i for i, q in enumerate(base.states)}
     aidx = {a: i for i, a in enumerate(alphabet)}
     leaf_trans = []
     un_by_child = {}
-    bin_by_left = {}
-    bin_by_right = {}
+    bin_by_left = {}   # left child -> [(right child, rule, slot)]
+    bin_by_right = {}  # right child -> [(left child, rule, slot)]
     for children, sym, tgt in base.transitions:
         rule = (sym, aidx[sym], bidx[tgt])
         if not children:
@@ -320,14 +328,25 @@ def functional_product(base, leaf_f, unary_f, binary_f, final_f, budget,
             un_by_child.setdefault(bidx[children[0]], []).append(rule)
         else:
             l, r = bidx[children[0]], bidx[children[1]]
-            bin_by_left.setdefault(l, []).append((r, rule))
-            bin_by_right.setdefault(r, []).append((l, rule))
+            by_l = bin_by_left.setdefault(l, [])
+            by_r = bin_by_right.setdefault(r, [])
+            by_l.append((r, rule, len(by_r)))
+            by_r.append((l, rule, len(by_l) - 1))
+    # The pop of a state over base state q takes its partner snapshots
+    # in the order of q's rules by left child, then by right child. An
+    # entry's slot is the position of its rule in that order for the
+    # partner's base state, where the partner is on the other side.
+    for l, entries in bin_by_left.items():
+        bin_by_left[l] = [(r, rule, len(bin_by_left.get(r, ())) + slot)
+                          for r, rule, slot in entries]
 
     # base states and symbols are read as their positions in base
     ids = {}          # (base state, m) -> product state id
     discovered = {}   # base state -> [(m, id)] in discovery order
     transitions = {}  # (children ids, symbol, target id) -> None
-    queue = deque()   # (base state, m, id)
+    queue = deque()   # (base state, m, id, born, seen), see the loop
+    popped = -1       # the state being popped; -1 while seeding leaves
+    snaps = 0         # partner snapshots taken so far by that pop
 
     def emit(children, si, qb, m):
         """Transition into product state (qb, m), numbering it if new."""
@@ -336,7 +355,7 @@ def functional_product(base, leaf_f, unary_f, binary_f, final_f, budget,
         if tgt is None:
             tgt = ids[st] = len(ids)
             discovered.setdefault(qb, []).append((m, tgt))
-            queue.append((qb, m, tgt))
+            queue.append((qb, m, tgt, popped, snaps))
         tr = (children, si, tgt)
         if tr not in transitions:
             transitions[tr] = None
@@ -348,21 +367,32 @@ def functional_product(base, leaf_f, unary_f, binary_f, final_f, budget,
             continue
         emit((), si, tgt, m)
 
+    # state i was found by the pop of `born` (-1 for leaves) after `seen`
+    # of its snapshots, so its snapshots from slot `seen` on held i
     while queue:
-        qb, m, i = queue.popleft()
+        qb, m, i, born, seen = queue.popleft()
+        popped, snaps = i, 0
         for sym, si, tgt in un_by_child.get(qb, ()):
             m2 = unary_f(m, sym)
             if m2 is None:
                 continue
             emit((i,), si, tgt, m2)
-        for qb2, (sym, si, tgt) in bin_by_left.get(qb, ()):
+        for qb2, (sym, si, tgt), slot in bin_by_left.get(qb, ()):
+            met = seen <= slot
+            snaps += 1
             for m2, i2 in tuple(discovered.get(qb2, ())):
+                if born < i2 < i or met and i2 == born:
+                    continue
                 mm = binary_f(m, m2, sym)
                 if mm is None:
                     continue
                 emit((i, i2), si, tgt, mm)
-        for qb1, (sym, si, tgt) in bin_by_right.get(qb, ()):
+        for qb1, (sym, si, tgt), slot in bin_by_right.get(qb, ()):
+            met = seen <= slot
+            snaps += 1
             for m1, i1 in tuple(discovered.get(qb1, ())):
+                if born < i1 <= i or met and i1 == born:
+                    continue
                 mm = binary_f(m1, m, sym)
                 if mm is None:
                     continue

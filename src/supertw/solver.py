@@ -231,11 +231,16 @@ def _relabel(gprime: Graph):
 
 
 def _reconstruct(g, phi, t1, a_g, phi_aut, sp, budget, simple, stats):
-    """Extract, decode and re-verify a witness from the paired product."""
+    """Extract, decode and re-verify a witness from the paired product.
+
+    The product goes to `extract_witness` untrimmed, and the
+    `paired_product` stage reports it as built. Trimming would not change
+    the witness: it is built from useful states only, and a rule into a
+    useful state has only useful children."""
     start = _start(budget)
     lifted = lift_to_pairs(a_g, t1)
-    prod = trim(intersect(lifted, sp, budget), budget)
-    wterm = extract_witness(prod)
+    prod = intersect(lifted, sp, budget)
+    wterm = extract_witness(prod, budget)
     _stage(stats, "paired_product", start, budget, prod)
     if wterm is None:
         raise SupertwError("paired product empty despite nonempty plain product")
@@ -334,7 +339,7 @@ def has_supergraph(g: Graph, phi, t: int, *, budget: Budget | None = None,
     transitions the stage added to the budget's `used`; with
     want_witness a verified witness supergraph is attached on YES, and
     the stats add the `sub_closure_paired`, `paired_product` and `verify`
-    stages.
+    stages. `paired_product` reports the product as built, untrimmed.
     """
     return _decide(g, phi, t, False, budget, want_witness)
 

@@ -72,13 +72,12 @@ class TreeAutomaton:
                 f"|Δ|={len(self.transitions)}, |Σ|={len(self.alphabet)})")
 
     def index(self):
-        """transitions grouped as {symbol: {arity: [(children, target), ...]}}"""
-        if self._index is None:
-            idx = {}
-            for children, sym, q in self.transitions:
-                idx.setdefault(sym, {}).setdefault(len(children), []).append((children, q))
-            self._index = idx
-        return self._index
+        """transitions grouped as {symbol: {arity: [(children, target), ...]}},
+        built afresh on each call (the kernels keep `_child_indexes`)"""
+        idx = {}
+        for children, sym, q in self.transitions:
+            idx.setdefault(sym, {}).setdefault(len(children), []).append((children, q))
+        return idx
 
 
 def make_automaton(alphabet, final, transitions, states=()):
@@ -93,8 +92,7 @@ def make_automaton(alphabet, final, transitions, states=()):
 
 def run(aut: TreeAutomaton, t: Term, cache=None):
     """The set of states reachable at the root of t, as a frozenset."""
-    idx = aut.index()
-    aset = set(aut.alphabet)
+    pos, leaf, unary, left, _right = _child_indexes(aut)
     if cache is None:
         cache = {}
 
@@ -102,19 +100,20 @@ def run(aut: TreeAutomaton, t: Term, cache=None):
         got = cache.get(node)
         if got is not None:
             return got
-        if node.symbol not in aset:
+        si = pos.get(node.symbol)
+        if si is None:
             raise UnknownSymbolError(f"symbol {node.symbol!r} not in automaton alphabet")
-        by_arity = idx.get(node.symbol, {})
-        rules = by_arity.get(len(node.children), [])
         if not node.children:
-            out = frozenset(q for _c, q in rules)
+            out = frozenset(leaf[si])
         elif len(node.children) == 1:
-            s1 = go(node.children[0])
-            out = frozenset(q for c, q in rules if c[0] in s1)
+            by_child = unary[si]
+            out = frozenset(q for c in go(node.children[0]) for q in by_child.get(c, ()))
         else:
+            by_left = left[si]
             s1 = go(node.children[0])
             s2 = go(node.children[1])
-            out = frozenset(q for c, q in rules if c[0] in s1 and c[1] in s2)
+            out = frozenset(q for c in s1 for (_, c2), _s, q in by_left.get(c, ())
+                            if c2 in s2)
         cache[node] = out
         return out
 
@@ -131,25 +130,32 @@ def _check_same_alphabet(a: TreeAutomaton, b: TreeAutomaton, op):
 
 
 def _child_indexes(aut: TreeAutomaton):
-    """Per-symbol indexes for the worklist joins, one entry per alphabet
-    position: leaf targets [target], unary {child: [target]}, binary by
-    left child {child1: [(child2, target)]} and by right child {child2:
-    [(child1, target)]}, each list in transition order."""
-    idx = aut.index()
-    leaf, u, b1, b2 = [], [], [], []
-    for sym in aut.alphabet:
-        by_ar = idx.get(sym, {})
-        us, b1s, b2s = {}, {}, {}
-        for c, q in by_ar.get(1, ()):
-            us.setdefault(c[0], []).append(q)
-        for c, q in by_ar.get(2, ()):
-            b1s.setdefault(c[0], []).append((c[1], q))
-            b2s.setdefault(c[1], []).append((c[0], q))
-        leaf.append([q for _c, q in by_ar.get(0, ())])
-        u.append(us)
-        b1.append(b1s)
-        b2.append(b2s)
-    return leaf, u, b1, b2
+    """Indexes for `run` and the worklist joins, built once per automaton.
+
+    (symbol -> alphabet position, then per position: leaf targets
+    [target], unary {child: [target]}, binary by left child {child1:
+    [transition]} and by right child {child2: [transition]}). Each list is
+    in transition order, and the binary maps share the automaton's own
+    transition tuples."""
+    got = aut._index
+    if got is None:
+        pos = {a: i for i, a in enumerate(aut.alphabet)}
+        leaf = [[] for _ in pos]
+        unary = [{} for _ in pos]
+        left = [{} for _ in pos]
+        right = [{} for _ in pos]
+        for tr in aut.transitions:
+            children, sym, q = tr
+            si = pos[sym]
+            if not children:
+                leaf[si].append(q)
+            elif len(children) == 1:
+                unary[si].setdefault(children[0], []).append(q)
+            else:
+                left[si].setdefault(children[0], []).append(tr)
+                right[si].setdefault(children[1], []).append(tr)
+        got = aut._index = (pos, leaf, unary, left, right)
+    return got
 
 
 def intersect(a: TreeAutomaton, b: TreeAutomaton, budget: Budget | None = None):
@@ -160,17 +166,26 @@ def intersect(a: TreeAutomaton, b: TreeAutomaton, budget: Budget | None = None):
     `to_json` numbers states by position, so the dump is the one the pair
     states would give. Transitions come out in emission order, with one
     `budget.spend` per new transition.
+
+    States are popped in id order, and the pop of p joins p with every
+    partner discovered so far, so a pair can meet at both pops. The
+    second meeting would emit nothing new and is skipped: each pair meets
+    once per rule pair. Say the pop of `born` found p. A partner c with
+    born < c < p met p at its own pop; on the right, so did p itself, on
+    the left. `born` met p if p was found before their rule pair came up
+    in that pop, that is, if the rule pair's transition is already out.
     """
     _check_same_alphabet(a, b, "intersect")
     if budget is None:
         budget = Budget()
-    aL, aU, aB1, aB2 = _child_indexes(a)
-    bL, bU, bB1, bB2 = _child_indexes(b)
+    _, aL, aU, aB1, aB2 = _child_indexes(a)
+    _, bL, bU, bB1, bB2 = _child_indexes(b)
     nsym = len(a.alphabet)
 
     ids = {}          # (qa, qb) -> product state id
-    agenda = deque()  # (qa, qb, id)
+    agenda = deque()  # (qa, qb, id, id of the state whose pop found it)
     out = {}          # (children ids, symbol position, target id) -> None
+    popped = -1       # the state being popped; -1 while seeding leaves
 
     def emit(children, si, qa, qb):
         """Transition into the pair (qa, qb), numbering it if new."""
@@ -178,7 +193,7 @@ def intersect(a: TreeAutomaton, b: TreeAutomaton, budget: Budget | None = None):
         target = ids.get(p)
         if target is None:
             target = ids[p] = len(ids)
-            agenda.append((qa, qb, target))
+            agenda.append((qa, qb, target, popped))
         tr = (children, si, target)
         if tr not in out:
             out[tr] = None
@@ -190,7 +205,8 @@ def intersect(a: TreeAutomaton, b: TreeAutomaton, budget: Budget | None = None):
                 emit((), si, qa, qb)
 
     while agenda:
-        pa, pb, p = agenda.popleft()
+        pa, pb, p, born = agenda.popleft()
+        popped = p
         for si in range(nsym):
             la = aU[si].get(pa)
             lb = bU[si].get(pb)
@@ -201,19 +217,25 @@ def intersect(a: TreeAutomaton, b: TreeAutomaton, budget: Budget | None = None):
             la = aB1[si].get(pa)
             lb = bB1[si].get(pb)
             if la and lb:
-                for ca2, qa in la:
-                    for cb2, qb in lb:
+                for (_, ca2), _s, qa in la:
+                    for (_, cb2), _s, qb in lb:
                         c = ids.get((ca2, cb2))
-                        if c is not None:
-                            emit((p, c), si, qa, qb)
+                        if c is None or born < c < p:
+                            continue
+                        if c == born and ((p, c), si, ids.get((qa, qb))) in out:
+                            continue
+                        emit((p, c), si, qa, qb)
             la = aB2[si].get(pa)
             lb = bB2[si].get(pb)
             if la and lb:
-                for ca1, qa in la:
-                    for cb1, qb in lb:
+                for (ca1, _), _s, qa in la:
+                    for (cb1, _), _s, qb in lb:
                         c = ids.get((ca1, cb1))
-                        if c is not None:
-                            emit((c, p), si, qa, qb)
+                        if c is None or born < c <= p:
+                            continue
+                        if c == born and ((c, p), si, ids.get((qa, qb))) in out:
+                            continue
+                        emit((c, p), si, qa, qb)
 
     final = [i for (qa, qb), i in ids.items() if qa in a.final and qb in b.final]
     alphabet = a.alphabet
@@ -524,45 +546,62 @@ def reduce_bisim(aut: TreeAutomaton, budget: Budget | None = None) -> TreeAutoma
                              [(ch, alphabet[sy], q) for ch, sy, q in trs])
 
 
-def extract_witness(aut: TreeAutomaton):
+def extract_witness(aut: TreeAutomaton, budget: Budget | None = None):
     """A minimal-depth accepted term, or None if the language is empty.
 
-    Deterministic: states acquire witnesses in breadth-first rounds, scanning
-    transitions in their canonical order; the first final state to acquire a
-    witness (round order, then scan order) is reported.
+    Deterministic: states acquire witnesses in breadth-first rounds. A
+    transition becomes ready in the round after the last of its children
+    acquires one, and each state takes the first ready transition into it
+    in transition order; the first final state to acquire a witness (round
+    order, then the order of the transitions taken) is reported. Each
+    transition waits on one missing child at a time, so the whole search
+    reads each transition a bounded number of times. With a budget, its
+    deadline is checked once per round.
     """
-    choice = {}   # state -> (symbol, children states)
-    depth = {}
-    target = None
-    round_no = 0
-    while target is None:
-        round_no += 1
-        new = []
-        for children, sym, q in aut.transitions:
-            if q in choice:
-                continue
-            if all(c in choice and depth[c] < round_no for c in children):
-                choice[q] = (sym, children)
-                depth[q] = round_no
-                new.append(q)
-        if not new:
-            return None
-        for q in new:
-            if q in aut.final:
-                target = q
-                break
+    trs = aut.transitions
+    ready = []    # positions of the transitions ready in the next round
+    waiting = {}  # state -> positions of the transitions waiting on it
+    for k, (children, _sym, _q) in enumerate(trs):
+        if children:
+            waiting.setdefault(children[0], []).append(k)
+        else:
+            ready.append(k)
+    choice = {}   # state -> (children, symbol) of the transition it took
+    while ready:
+        if budget is not None:
+            budget.check_time("extract_witness")
+        taken = {}  # state new this round -> position of its first ready rule
+        for k in ready:
+            q = trs[k][2]
+            if q not in choice and taken.get(q, k) >= k:
+                taken[q] = k
+        for q, k in taken.items():
+            choice[q] = trs[k][:2]
+        hits = [k for q, k in taken.items() if q in aut.final]
+        if hits:
+            return _build_term(trs[min(hits)][2], choice, {})
+        ready = []
+        for q in taken:
+            for k in waiting.pop(q, ()):
+                children, _sym, target = trs[k]
+                if target in choice:
+                    continue
+                for c in children:
+                    if c not in choice:
+                        waiting.setdefault(c, []).append(k)
+                        break
+                else:
+                    ready.append(k)
+    return None
 
-    memo = {}
 
-    def build(q):
-        got = memo.get(q)
-        if got is None:
-            sym, children = choice[q]
-            got = term(sym, *[build(c) for c in children])
-            memo[q] = got
-        return got
-
-    return build(target)
+def _build_term(q, choice, memo):
+    """The term of state q from the chosen (children, symbol) per state."""
+    got = memo.get(q)
+    if got is None:
+        children, sym = choice[q]
+        got = memo[q] = term(sym, *[_build_term(c, choice, memo) for c in children])
+    return got
 
 
 def intersection_nonempty(a: TreeAutomaton, b: TreeAutomaton,
@@ -571,8 +610,8 @@ def intersection_nonempty(a: TreeAutomaton, b: TreeAutomaton,
     _check_same_alphabet(a, b, "intersection_nonempty")
     if budget is None:
         budget = Budget()
-    aL, aU, aB1, aB2 = _child_indexes(a)
-    bL, bU, bB1, bB2 = _child_indexes(b)
+    _, aL, aU, aB1, aB2 = _child_indexes(a)
+    _, bL, bU, bB1, bB2 = _child_indexes(b)
     pairs = set()
     agenda = deque()
 
@@ -602,13 +641,13 @@ def intersection_nonempty(a: TreeAutomaton, b: TreeAutomaton,
                     if discover((qa, qb)):
                         return True
             la, lb = aB1[si].get(pa, ()), bB1[si].get(pb, ())
-            for ca2, qa in la:
-                for cb2, qb in lb:
+            for (_, ca2), _s, qa in la:
+                for (_, cb2), _s, qb in lb:
                     if (ca2, cb2) in pairs and discover((qa, qb)):
                         return True
             la, lb = aB2[si].get(pa, ()), bB2[si].get(pb, ())
-            for ca1, qa in la:
-                for cb1, qb in lb:
+            for (ca1, _), _s, qa in la:
+                for (cb1, _), _s, qb in lb:
                     if (ca1, cb1) in pairs and discover((qa, qb)):
                         return True
     return False

@@ -10,7 +10,8 @@ import gc
 import hashlib
 import json
 import random
-from collections import deque
+import sys
+from collections import Counter, deque
 from pathlib import Path
 
 import pytest
@@ -30,10 +31,11 @@ from supertw.decomp import bag_alphabet, decode_graph, s_maximal_components
 from supertw.errors import CmsoKindError, ResourceExceededError
 from supertw.solver import clear_caches
 from supertw.terms import enumerate_terms, map_symbols
-from supertw.tree_automata import (TreeAutomaton, accepts, reduce_bisim,
-                                   to_json, trim)
+from supertw.tree_automata import (TreeAutomaton, accepts, intersect,
+                                   reduce_bisim, to_json, trim)
 from supertw.util import Budget
 from corpus import collections_inside
+from test_tree_automata import intersect_reference
 
 FORMULAS = [
     ("some_vertex", some_vertex()),
@@ -367,6 +369,73 @@ def test_functional_product_matches_reference(name):
         lambda m: not sim.hit(m[0]), ref, "not")
     assert to_json(got) == to_json(want)
     assert new.used == ref.used
+
+
+def _binary_emits(kernel, *args):
+    """Run kernel(*args), counting the calls of its `emit` closure that
+    make a binary transition, keyed by their arguments (children ids,
+    symbol position, then the target's components)."""
+    emit = next(c for c in kernel.__code__.co_consts
+                if getattr(c, "co_name", None) == "emit")
+    calls = Counter()
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code is emit:
+            got = frame.f_locals
+            if len(got["children"]) == 2:
+                calls[tuple(got[v] for v in emit.co_varnames[:emit.co_argcount])] += 1
+
+    sys.setprofile(profile)
+    try:
+        out = kernel(*args)
+    finally:
+        sys.setprofile(None)
+    return out, calls
+
+
+@pytest.mark.parametrize("name", sorted(ATOMS))
+def test_product_meets_each_pair_once(name):
+    # functional_product: binary_f sees each (left id, right id, rule) once.
+    # The functional side's state m and the base state name a product
+    # state, so the reference's (q, m) states give the meetings expected.
+    phi, xs = ATOMS[name]
+    val = validity_automaton(2, xs)
+    leaf_f, unary_f, binary_f, final_f = _atom_steps(phi)
+    seen = Counter()
+
+    def counting_f(m1, m2, sym):
+        seen[(m1, m2, sym)] += 1
+        return binary_f(m1, m2, sym)
+
+    new, ref = Budget(None), Budget(None)
+    got = functional_product(val, leaf_f, unary_f, counting_f, final_f, new, "atom")
+    want = functional_product_reference(val, leaf_f, unary_f, binary_f, final_f,
+                                        ref, "atom")
+    assert to_json(got) == to_json(want)
+    assert new.used == ref.used
+    ms = {}
+    for q, m in want.states:
+        ms.setdefault(q, []).append(m)
+    expected = Counter()
+    for children, sym, _q in val.transitions:
+        if len(children) == 2:
+            for m1 in ms.get(children[0], ()):
+                for m2 in ms.get(children[1], ()):
+                    expected[(m1, m2, sym)] += 1
+    assert seen == expected
+    # intersect: each binary emit (children, symbol, target pair) once,
+    # here on the atom against its reduced copy and a random automaton
+    rng = random.Random(name)
+    other = reduce_bisim(trim(got))
+    noise = TreeAutomaton.raw(val.alphabet, range(3), [0, 1], sorted(
+        {(ch, sym, rng.randrange(3)) for ch in ((), (0,), (1,), (0, 1), (2, 2))
+         for sym in rng.sample(val.alphabet, 4)}, key=repr))
+    for a, b in ((got, other), (other, got), (got, noise)):
+        new, ref = Budget(None), Budget(None)
+        prod, emits = _binary_emits(intersect, a, b, new)
+        assert to_json(prod) == to_json(intersect_reference(a, b, ref))
+        assert new.used == ref.used
+        assert emits and max(emits.values()) == 1
 
 
 # SHA-256 of the canonical JSON of compile(phi, 3) as the generic kernels

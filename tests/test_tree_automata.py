@@ -188,6 +188,17 @@ def test_trim_and_reduce_check_the_deadline(seed):
         assert live.used == 0
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_extract_witness_checks_the_deadline(seed):
+    a = random_automaton(seed, n_states=5)
+    with pytest.raises(ResourceExceededError) as err:
+        extract_witness(a, Budget(None, timeout_secs=-1))
+    assert err.value.stage == "extract_witness"
+    live = Budget(None, timeout_secs=3600)
+    assert extract_witness(a, live) == extract_witness(a) is not None
+    assert live.used == 0
+
+
 # --- the dense-int kernels change nothing --------------------------------
 # The kernels below are the generic ones `trim`, `reduce_bisim` and
 # `intersect` replaced: they work on the states as given and relabel by
@@ -373,6 +384,38 @@ def intersect_reference(a, b, budget):
     return TreeAutomaton.raw(a.alphabet, pairs, final, out)
 
 
+def extract_witness_reference(aut):
+    """The round scan that `extract_witness` replaced: every round reads
+    all transitions in order, and a transition fires when its target has
+    no witness yet and all its children got theirs in earlier rounds."""
+    choice = {}
+    depth = {}
+    target = None
+    round_no = 0
+    while target is None:
+        round_no += 1
+        new = []
+        for children, sym, q in aut.transitions:
+            if q in choice:
+                continue
+            if all(c in choice and depth[c] < round_no for c in children):
+                choice[q] = (sym, children)
+                depth[q] = round_no
+                new.append(q)
+        if not new:
+            return None
+        for q in new:
+            if q in aut.final:
+                target = q
+                break
+
+    def build(q):
+        sym, children = choice[q]
+        return term(sym, *[build(c) for c in children])
+
+    return build(target)
+
+
 def chain_automaton(k):
     """a, a(a), ..., a^k each reach their own state; only a^k is accepted.
     Every state is inhabited, useful and distinct from every other."""
@@ -434,6 +477,39 @@ def test_trim_matches_reference(seed, encoding):
     a = raw_random_automaton(seed, ENCODINGS[encoding])
     assert _inhabited(a) == inhabited_reference(a)
     assert parts(trim(a)) == parts(trim_reference(a))
+
+
+@pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+@pytest.mark.parametrize("seed", range(12))
+def test_extract_witness_matches_reference(seed, encoding):
+    a = raw_random_automaton(seed, ENCODINGS[encoding])
+    w = extract_witness(a)
+    assert w == extract_witness_reference(a)
+    assert w == extract_witness(trim(a))
+
+
+def test_extract_witness_takes_the_first_ready_rule():
+    # 2 is final, and its first rule waits on 1; the later leaf rule into 2
+    # wins round one, so the witness is the leaf
+    trs = [((1,), "a", 2), ((1, 1), "b", 4), ((), "b", 2), ((), "a", 1)]
+    a = TreeAutomaton.raw(AB, range(5), [2], trs)
+    assert extract_witness(a) == extract_witness_reference(a) == term("b")
+    # the final states 3 and 4 are both reached in round two; 4 by its
+    # second rule, which is listed before the rule into 3, so 4 is reported
+    trs = [((3, 1), "a", 4), ((1, 1), "b", 4), ((1,), "a", 3),
+           ((), "a", 0), ((), "b", 1), ((5,), "a", 0), ((), "a", 5)]
+    a = TreeAutomaton.raw(AB, range(6), [3, 4], trs)
+    w = extract_witness(a)
+    assert w == extract_witness_reference(a) == term("b", term("b"), term("b"))
+    # rules woken out of list order: the rule reading 0 becomes ready before
+    # the earlier-listed rule reading 1, yet the earlier-listed rule wins,
+    # for the choice into 2 and for the first final state (3 over 4)
+    trs = [((1,), "a", 2), ((), "a", 0), ((), "b", 1), ((0,), "b", 2)]
+    a = TreeAutomaton.raw(AB, range(3), [2], trs)
+    assert extract_witness(a) == extract_witness_reference(a) == term("a", term("b"))
+    trs = [((1,), "b", 3), ((), "a", 0), ((), "b", 1), ((0,), "a", 4)]
+    a = TreeAutomaton.raw(AB, range(5), [3, 4], trs)
+    assert extract_witness(a) == extract_witness_reference(a) == term("b", term("b"))
 
 
 @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
