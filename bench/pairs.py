@@ -11,7 +11,8 @@ for the workload in `--out` is replaced (other workloads in the file are
 kept). It holds, per seed, both sides' metrics and whether every
 instance's answer, charge and witness SHA-256 agree; per metric, both
 medians, the parent's quartile spread, and the number of pairs the
-change wins; and each checkout's `src` line count.
+change wins; each side's total of failed operations over all pairs; and
+each checkout's `src` line count.
 """
 
 from __future__ import annotations
@@ -102,6 +103,8 @@ def main(argv=None):
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc.setdefault("workloads", {})[args.workload] = {
         "seconds": args.seconds, "pairs": pairs,
+        "failed": {side: sum(p[side]["failed"] for p in pairs)
+                   for side in ("parent", "change")},
         "summary": summarize(pairs, better)}
     doc["src_lines"] = {"parent": src_lines(args.parent),
                         "change": src_lines(args.change)}

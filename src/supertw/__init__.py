@@ -26,8 +26,8 @@ from .solver import (SupergraphVerdict, Witness, has_supergraph, solve_named,
                      witness_supergraph)
 from .subdecomp import sub_closure, sub_closure_paired
 from .terms import Term, enumerate_terms, term
-from .tree_automata import (TreeAutomaton, determinize, extract_witness,
-                            intersect, reduce_bisim, run, trim)
+from .tree_automata import (TreeAutomaton, extract_witness, intersect,
+                            reduce_bisim, run, trim)
 from .util import Budget
 
 __version__ = "0.1.0"
@@ -53,7 +53,6 @@ __all__ = [
     "compile",
     "decode_graph",
     "decomposition_to_json",
-    "determinize",
     "diameter",
     "encode",
     "enumerate_sub_decompositions",

@@ -6,8 +6,9 @@ Subcommands:
   compile  compile a formula to a bag automaton and dump it as JSON
   oracle   brute-force cross-checks (exact treewidth, supergraph search)
 
-Exit codes: 0 = YES, 1 = NO, 2 = error. All output is deterministic for
-identical inputs.
+Exit codes: 0 = YES, 1 = NO, 2 = error (errors, usage errors included,
+are one JSON object on stderr). All output is deterministic for identical
+inputs.
 """
 
 from __future__ import annotations
@@ -134,8 +135,19 @@ def _add_budget_flags(p):
                    help="wall-clock deadline for automaton construction")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one JSON error object and exit code 2,
+    like every other error; subcommand parsers inherit this."""
+
+    def error(self, message):
+        print(json.dumps({"error": "UsageError",
+                          "message": f"{self.prog}: {message}"}),
+              file=sys.stderr)
+        self.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="supertw",
         description="bounded-treewidth supergraph solver for CMSO properties")
     sub = top.add_subparsers(dest="cmd", required=True)
@@ -150,9 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--witness", help="write the witness graph JSON here")
     ps.add_argument("--witness-dot", help="write the witness graph DOT here")
     ps.add_argument("--stats", help="write per-stage stats JSON here")
-    ps.add_argument("--threads", type=int, default=1,
-                    help="product exploration threads (sequential for now; "
-                         "the flag is validated and reserved)")
     _add_budget_flags(ps)
     ps.set_defaults(go=cmd_solve)
 
@@ -189,11 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        print(json.dumps({"error": "ValueError",
-                          "message": "--threads must be at least 1"}),
-              file=sys.stderr)
-        return 2
     try:
         return args.go(args)
     except Exception as exc:

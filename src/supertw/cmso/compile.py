@@ -31,11 +31,9 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations, product as iproduct
 
-from ..decomp import ConcreteBag, bag_alphabet
+from ..decomp import bag_alphabet
 from ..errors import AlphabetMismatchError, CmsoKindError
-from ..tree_automata import (TreeAutomaton, project, reduce_bisim,
-                             register_symbol_codec,
-                             trim)
+from ..tree_automata import TreeAutomaton, project, reduce_bisim, trim
 from ..util import Budget, ChargedCache, gc_paused, osorted, register_cache
 from .ast import (And, Card, Exists, FalseF, Forall, Iff, Implies, Inc, MemE,
                   MemV, Not, Or, TrueF, Var, VarEq, VarKind, free_vars,
@@ -103,16 +101,6 @@ class InterpretedBag:
         return {"k": "ibag", "B": osorted(self.bag.B), "b": osorted(self.bag.b),
                 "vf": sorted([[v.name, v.kind.value, s] for v, s in self.vflags]),
                 "ef": sorted([[v.name, v.kind.value] for v in self.eflags])}
-
-
-def _ibag_from_obj(obj):
-    bag = ConcreteBag(frozenset(obj["B"]), frozenset(obj["b"]))
-    vflags = frozenset((Var(n, VarKind(k)), s) for n, k, s in obj["vf"])
-    eflags = frozenset(Var(n, VarKind(k)) for n, k in obj["ef"])
-    return InterpretedBag(bag, vflags, eflags)
-
-
-register_symbol_codec("ibag", _ibag_from_obj)
 
 
 def _xtuple(xvars):
@@ -474,33 +462,25 @@ def combine_on_validity(val, sims, mode, budget, stage="combine"):
 
     mode "and": accept when every simulation reaches a final state
     (states where some simulation dies are pruned).  mode "or": accept
-    when at least one does.
+    when at least one does.  One simulation under "and" (a lift into a
+    wider scope) gets its own unrolled steps.
     """
     want_all = mode == "and"
 
-    if len(sims) == 1:
+    if want_all and len(sims) == 1:
         sim = sims[0]
-        if want_all:
-            def leaf_f(sym):
-                s = sim.leaf(sym)
-                return (s,) if s else None
 
-            def unary_f(m, sym):
-                s = sim.unary(m[0], sym)
-                return (s,) if s else None
+        def leaf_f(sym):
+            s = sim.leaf(sym)
+            return (s,) if s else None
 
-            def binary_f(m1, m2, sym):
-                s = sim.binary(m1[0], m2[0], sym)
-                return (s,) if s else None
-        else:
-            def leaf_f(sym):
-                return (sim.leaf(sym),)
+        def unary_f(m, sym):
+            s = sim.unary(m[0], sym)
+            return (s,) if s else None
 
-            def unary_f(m, sym):
-                return (sim.unary(m[0], sym),)
-
-            def binary_f(m1, m2, sym):
-                return (sim.binary(m1[0], m2[0], sym),)
+        def binary_f(m1, m2, sym):
+            s = sim.binary(m1[0], m2[0], sym)
+            return (s,) if s else None
     elif want_all:
         def leaf_f(sym):
             out = []

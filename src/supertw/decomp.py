@@ -21,8 +21,7 @@ from itertools import combinations
 from .errors import InvalidBagError, InvalidDecompositionError
 from .graph import Graph
 from .terms import ROOT, Term, term
-from .tree_automata import register_symbol_codec
-from .util import ordkey, osorted
+from .util import osorted
 
 
 @dataclass(frozen=True)
@@ -52,9 +51,6 @@ class ConcreteBag:
 
 def bag(B, b=()) -> ConcreteBag:
     return ConcreteBag(frozenset(B), frozenset(b))
-
-
-register_symbol_codec("bag", lambda o: bag(o["B"], o["b"]))
 
 
 def bag_alphabet(t: int):

@@ -19,7 +19,7 @@ from itertools import combinations
 
 from .decomp import ConcreteBag, bag, bag_alphabet
 from .errors import AlphabetMismatchError
-from .tree_automata import TreeAutomaton, register_symbol_codec
+from .tree_automata import TreeAutomaton
 from .util import Budget, osorted
 
 
@@ -50,13 +50,6 @@ class PairBag:
 
     def to_obj(self):
         return {"k": "pairbag", "sub": self.sub.to_obj(), "sup": self.sup.to_obj()}
-
-
-def _pairbag_from_obj(obj):
-    return PairBag(ConcreteBag.from_obj(obj["sub"]), ConcreteBag.from_obj(obj["sup"]))
-
-
-register_symbol_codec("pairbag", _pairbag_from_obj)
 
 
 def pair_alphabet(t: int):
@@ -112,44 +105,6 @@ def _combos_with(st, children, anns):
             if c1 == base and a == st:
                 continue
             yield (a, st)
-
-
-def annotate_root_bags(aut: TreeAutomaton) -> TreeAutomaton:
-    """Language-equal automaton whose states carry the root bag's labels.
-
-    A term reaches (q, B) here iff it reaches q in the input and its root
-    symbol has label set B. Only reachable annotations are generated.
-    """
-    _bag_arity_t(aut)
-    states: dict = {}
-    trs: dict = {}
-    queue = deque()
-    by_child: dict = {}
-    for children, sym, q in aut.transitions:
-        if not children:
-            tgt = (q, sym.B)
-            trs[((), sym, tgt)] = None
-            if tgt not in states:
-                states[tgt] = None
-                queue.append(tgt)
-        else:
-            for c in set(children):
-                by_child.setdefault(c, []).append((children, sym, q))
-
-    anns: dict = {}
-    while queue:
-        st = queue.popleft()
-        anns.setdefault(st[0], []).append(st)
-        for children, sym, q in by_child.get(st[0], ()):
-            for combo in _combos_with(st, children, anns):
-                tgt = (q, sym.B)
-                trs[(combo, sym, tgt)] = None
-                if tgt not in states:
-                    states[tgt] = None
-                    queue.append(tgt)
-
-    final = [s for s in states if s[0] in aut.final]
-    return TreeAutomaton.raw(aut.alphabet, states, final, trs)
 
 
 def _closure(aut: TreeAutomaton, paired: bool, budget: Budget | None):

@@ -4,10 +4,14 @@ An automaton is (alphabet, states, final, transitions) with transitions of
 the form (children, symbol, target) where children is a tuple of 0, 1 or 2
 states. A term is accepted when some bottom-up run lands in a final state.
 
-All constructions (product, union, subset construction, complement,
-projection) iterate in a canonical order so their output is reproducible
-byte for byte; they spend against a `util.Budget` and raise
-ResourceExceededError when a product outgrows it.
+The constructions here are the ones the pipeline runs: product
+(`intersect`, `intersection_nonempty`), projection, `trim`,
+`reduce_bisim` and witness extraction. Negation needs no subset
+construction in this module: `cmso.compile` subtracts from the validity
+automaton. Every construction iterates in a canonical order so its output
+is reproducible byte for byte. The products spend against a `util.Budget`
+and raise ResourceExceededError when they outgrow it. `to_json` dumps an
+automaton; nothing reads a dump back.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from collections import deque
 
 from .errors import AlphabetMismatchError, UnknownSymbolError
 from .terms import Term, term
-from .util import Budget, ordkey, osorted
+from .util import Budget, osorted
 
 
 class TreeAutomaton:
@@ -70,24 +74,6 @@ class TreeAutomaton:
     def __repr__(self):
         return (f"TreeAutomaton(|Q|={len(self.states)}, |F|={len(self.final)}, "
                 f"|Δ|={len(self.transitions)}, |Σ|={len(self.alphabet)})")
-
-    def index(self):
-        """transitions grouped as {symbol: {arity: [(children, target), ...]}},
-        built afresh on each call (the kernels keep `_child_indexes`)"""
-        idx = {}
-        for children, sym, q in self.transitions:
-            idx.setdefault(sym, {}).setdefault(len(children), []).append((children, q))
-        return idx
-
-
-def make_automaton(alphabet, final, transitions, states=()):
-    """Build an automaton, deriving the state set from transitions and final."""
-    sts = set(states)
-    sts.update(final)
-    for children, _sym, q in transitions:
-        sts.add(q)
-        sts.update(children)
-    return TreeAutomaton(alphabet, sts, final, transitions)
 
 
 def run(aut: TreeAutomaton, t: Term, cache=None):
@@ -243,78 +229,6 @@ def intersect(a: TreeAutomaton, b: TreeAutomaton, budget: Budget | None = None):
     return TreeAutomaton.raw(alphabet, range(len(ids)), final, trs)
 
 
-def union(a: TreeAutomaton, b: TreeAutomaton):
-    """Disjoint union; accepts L(a) ∪ L(b)."""
-    _check_same_alphabet(a, b, "union")
-    trs = [(tuple((0, c) for c in ch), sym, (0, q)) for ch, sym, q in a.transitions]
-    trs += [(tuple((1, c) for c in ch), sym, (1, q)) for ch, sym, q in b.transitions]
-    final = [(0, q) for q in a.final] + [(1, q) for q in b.final]
-    states = [(0, q) for q in a.states] + [(1, q) for q in b.states]
-    return TreeAutomaton.raw(a.alphabet, states, final, trs)
-
-
-def determinize(a: TreeAutomaton, budget: Budget | None = None):
-    """Reachable subset construction; the result is deterministic and complete.
-
-    The empty subset acts as the sink, so every symbol/child combination has
-    exactly one transition among the materialized subset states.
-    """
-    if budget is None:
-        budget = Budget()
-    ai = a.index()
-    subsets: dict[frozenset, int] = {}
-    order: list[frozenset] = []
-    trs = []
-
-    def intern(s):
-        if s not in subsets:
-            subsets[s] = len(order)
-            order.append(s)
-        return s
-
-    for sym in a.alphabet:
-        target = frozenset(q for _c, q in ai.get(sym, {}).get(0, []))
-        intern(target)
-        trs.append(((), sym, target))
-        budget.spend(1, "determinize")
-
-    unary = {sym: ai.get(sym, {}).get(1, []) for sym in a.alphabet}
-    binary = {sym: ai.get(sym, {}).get(2, []) for sym in a.alphabet}
-    done_pairs = set()
-    i = 0
-    while i < len(order):
-        s = order[i]
-        i += 1
-        for sym in a.alphabet:
-            tgt = frozenset(q for c, q in unary[sym] if c[0] in s)
-            intern(tgt)
-            trs.append(((s,), sym, tgt))
-            budget.spend(1, "determinize")
-        # pair s with every subset discovered so far (including itself);
-        # pairs with later subsets are produced when those are expanded
-        for other in list(order):
-            for left, right in ((s, other), (other, s)) if s != other else ((s, s),):
-                if (left, right) in done_pairs:
-                    continue
-                done_pairs.add((left, right))
-                for sym in a.alphabet:
-                    tgt = frozenset(q for c, q in binary[sym]
-                                    if c[0] in left and c[1] in right)
-                    intern(tgt)
-                    trs.append(((left, right), sym, tgt))
-                    budget.spend(1, "determinize")
-
-    final = [s for s in order if s & a.final]
-    return TreeAutomaton.raw(a.alphabet, order, final, trs)
-
-
-def complement(a: TreeAutomaton, budget: Budget | None = None):
-    """Accepts exactly the terms over a's alphabet that a rejects."""
-    d = determinize(a, budget)
-    final = [s for s in d.states if s not in d.final]
-    return TreeAutomaton.raw(d.alphabet, d.states, final, d.transitions)
-
-
 def project(a: TreeAutomaton, f, alphabet=None):
     """Relabel every transition symbol through f; states are unchanged.
 
@@ -369,10 +283,6 @@ def _inhabited(aut: TreeAutomaton) -> set:
                         alive.add(t)
                         woken.append(t)
     return alive
-
-
-def is_empty(aut: TreeAutomaton) -> bool:
-    return not (_inhabited(aut) & aut.final)
 
 
 def _within(trs, keep):
@@ -655,13 +565,6 @@ def intersection_nonempty(a: TreeAutomaton, b: TreeAutomaton,
 
 # --- serialization ---------------------------------------------------------
 
-_SYMBOL_DECODERS = {}
-
-
-def register_symbol_codec(tag, decode):
-    _SYMBOL_DECODERS[tag] = decode
-
-
 def symbol_to_obj(sym):
     to = getattr(sym, "to_obj", None)
     if to is not None:
@@ -669,16 +572,6 @@ def symbol_to_obj(sym):
     if isinstance(sym, (int, str, bool)):
         return sym
     raise UnknownSymbolError(f"no JSON encoding for symbol {sym!r}")
-
-
-def symbol_from_obj(obj):
-    if isinstance(obj, dict):
-        tag = obj.get("k")
-        dec = _SYMBOL_DECODERS.get(tag)
-        if dec is None:
-            raise UnknownSymbolError(f"unknown symbol tag {tag!r}")
-        return dec(obj)
-    return obj
 
 
 def to_json(aut: TreeAutomaton) -> dict:
@@ -696,11 +589,3 @@ def to_json(aut: TreeAutomaton) -> dict:
         ],
     }
 
-
-def from_json(obj) -> TreeAutomaton:
-    alphabet = [symbol_from_obj(s) for s in obj["alphabet"]]
-    states = range(obj["states"])
-    final = obj["final"]
-    trs = [(tuple(rec["children"]), symbol_from_obj(rec["symbol"]), rec["to"])
-           for rec in obj["transitions"]]
-    return TreeAutomaton(alphabet, states, final, trs)

@@ -5,6 +5,7 @@ import inspect
 import sys
 
 from supertw.graph import Graph
+from supertw.tree_automata import TreeAutomaton
 
 
 def collections_inside(entry, call):
@@ -27,6 +28,16 @@ def collections_inside(entry, call):
     finally:
         gc.callbacks.remove(on_gc)
     return seen
+
+
+def make_automaton(alphabet, final, transitions, states=()):
+    """An automaton whose states are derived from `transitions` and `final`."""
+    sts = set(states)
+    sts.update(final)
+    for children, _sym, q in transitions:
+        sts.add(q)
+        sts.update(children)
+    return TreeAutomaton(alphabet, sts, final, transitions)
 
 
 def path(n):

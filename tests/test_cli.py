@@ -75,11 +75,21 @@ def test_solve_with_formula_file(tmp_path):
     assert res.returncode == 0
 
 
-def test_threads_flag_validated(tmp_path):
+def test_usage_errors_are_one_json_object(tmp_path):
     graph = dump(tmp_path, "p3.json", path(3))
-    res = run_cli(["solve", "--graph", graph, "--preset", "diam=1",
-                   "--treewidth", "2", "--threads", "0"])
-    assert res.returncode == 2
+    for args in (["solve", "--graph", graph, "--preset", "diam=1"],
+                 ["solve", "--graph", graph, "--preset", "diam=1",
+                  "--treewidth", "two"],
+                 ["solve", "--graph", graph, "--preset", "diam=1",
+                  "--treewidth", "2", "--threads", "1"],
+                 ["oracle"], []):
+        res = run_cli(args)
+        assert res.returncode == 2, args
+        assert res.stdout == ""
+        err = json.loads(res.stderr)
+        assert set(err) == {"error", "message"}
+        assert err["error"] == "UsageError"
+        assert err["message"].startswith("supertw")
 
 
 def test_compile_roundtrip_and_determinism(tmp_path):

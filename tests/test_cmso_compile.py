@@ -32,10 +32,11 @@ from supertw.errors import CmsoKindError, ResourceExceededError
 from supertw.solver import clear_caches
 from supertw.terms import enumerate_terms, map_symbols
 from supertw.tree_automata import (TreeAutomaton, accepts, intersect,
-                                   reduce_bisim, to_json, trim)
+                                   reduce_bisim, run, to_json, trim)
 from supertw.util import Budget
 from corpus import collections_inside
-from test_tree_automata import intersect_reference
+from test_tree_automata import (AB, TERMS3, intersect_reference, language,
+                                random_automaton)
 
 FORMULAS = [
     ("some_vertex", some_vertex()),
@@ -369,6 +370,32 @@ def test_functional_product_matches_reference(name):
         lambda m: not sim.hit(m[0]), ref, "not")
     assert to_json(got) == to_json(want)
     assert new.used == ref.used
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_subset_simulation_determinizes_and_complements(seed):
+    # negation's subset construction: on every term the simulation reaches
+    # exactly the states `run` reaches, one subset per term, and subtracting
+    # from an automaton that accepts everything accepts the complement
+    a = random_automaton(seed)
+    sim = _SubsetSim(a)
+
+    def subset(tm):
+        if not tm.children:
+            return sim.leaf(tm.symbol)
+        if len(tm.children) == 1:
+            return sim.unary(subset(tm.children[0]), tm.symbol)
+        return sim.binary(subset(tm.children[0]), subset(tm.children[1]),
+                          tm.symbol)
+
+    for tm in TERMS3:
+        got = subset(tm)
+        assert got == run(a, tm)
+        assert sim.hit(got) == accepts(a, tm)
+    everything = TreeAutomaton(AB, [0], [0], [(ch, sym, 0) for sym in AB
+                                              for ch in ((), (0,), (0, 0))])
+    diff = subtract_on_validity(everything, a, Budget())
+    assert language(diff) == set(TERMS3) - language(a)
 
 
 def _binary_emits(kernel, *args):

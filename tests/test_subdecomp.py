@@ -12,11 +12,11 @@ import pytest
 from supertw.decomp import (bag, bag_alphabet, enumerate_sub_decompositions,
                             is_sub_decomposition)
 from supertw.errors import AlphabetMismatchError
-from supertw.subdecomp import (annotate_root_bags, pair_alphabet, sub_closure,
-                               sub_closure_paired)
+from supertw.subdecomp import pair_alphabet, sub_closure, sub_closure_paired
 from supertw.terms import enumerate_terms, map_symbols, term
-from supertw.tree_automata import TreeAutomaton, accepts, make_automaton
+from supertw.tree_automata import TreeAutomaton, accepts
 from supertw.util import osorted
+from corpus import make_automaton
 
 
 def brute_subs(aut, depth):
@@ -101,16 +101,6 @@ def test_language_grows_and_closure_is_idempotent():
         in_once = accepts(once, tm)
         assert accepts(aut, tm) <= in_once
         assert accepts(twice, tm) == in_once
-
-
-def test_annotate_root_bags_language_equal():
-    rng = random.Random(5)
-    aut = random_automaton(rng, 2, 3)
-    ann = annotate_root_bags(aut)
-    for tm in enumerate_terms(aut.alphabet, 3):
-        assert accepts(aut, tm) == accepts(ann, tm)
-    for q, labels in ann.states:
-        assert labels <= {1, 2}
 
 
 def test_paired_closure_characterization():

@@ -8,11 +8,11 @@ from supertw.errors import (AlphabetMismatchError, ResourceExceededError,
                             UnknownSymbolError)
 from supertw.terms import enumerate_terms, map_symbols, term
 from supertw.tree_automata import (TreeAutomaton, _inhabited, accepts,
-                                   complement, determinize, extract_witness,
-                                   from_json, intersect, intersection_nonempty,
-                                   is_empty, make_automaton, project,
-                                   reduce_bisim, run, to_json, trim, union)
+                                   extract_witness, intersect,
+                                   intersection_nonempty, project,
+                                   reduce_bisim, run, to_json, trim)
 from supertw.util import Budget
+from corpus import make_automaton
 
 AB = ["a", "b"]
 
@@ -59,6 +59,10 @@ def language(aut, terms=TERMS3):
     return {t for t in terms if accepts(aut, t, cache)}
 
 
+def nonempty(aut):
+    return bool(_inhabited(aut) & aut.final)
+
+
 def test_even_b_language():
     aut = even_b_automaton()
     for t in TERMS3:
@@ -77,7 +81,7 @@ def test_alphabet_mismatch():
     with pytest.raises(AlphabetMismatchError):
         intersect(a, b)
     with pytest.raises(AlphabetMismatchError):
-        union(a, b)
+        intersection_nonempty(a, b)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -86,22 +90,6 @@ def test_boolean_operations_against_enumeration(seed):
     b = random_automaton(seed + 100)
     la, lb = language(a), language(b)
     assert language(intersect(a, b)) == la & lb
-    assert language(union(a, b)) == la | lb
-    assert language(complement(a)) == set(TERMS3) - la
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_determinize_preserves_language_and_is_deterministic(seed):
-    a = random_automaton(seed)
-    d = determinize(a)
-    assert language(d) == language(a)
-    seen = {}
-    for children, sym, q in d.transitions:
-        key = (children, sym)
-        assert key not in seen
-        seen[key] = q
-    for t in TERMS3[:50]:
-        assert len(run(d, t)) == 1
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -150,7 +138,7 @@ def test_emptiness_and_witness(seed):
     terms4 = list(enumerate_terms(AB, 4))
     cache = {}
     accepted_depths = [t.depth for t in terms4 if accepts(a, t, cache)]
-    assert is_empty(a) == (not accepted_depths)
+    assert nonempty(a) == bool(accepted_depths)
     w = extract_witness(a)
     if accepted_depths:
         assert w is not None
@@ -164,7 +152,7 @@ def test_emptiness_and_witness(seed):
 def test_intersection_nonempty_short_circuit(seed):
     a = random_automaton(seed)
     b = random_automaton(seed + 17)
-    assert intersection_nonempty(a, b) == (not is_empty(intersect(a, b)))
+    assert intersection_nonempty(a, b) == nonempty(intersect(a, b))
 
 
 def test_budget_enforced():
@@ -172,8 +160,6 @@ def test_budget_enforced():
     b = random_automaton(2, n_states=4)
     with pytest.raises(ResourceExceededError):
         intersect(a, b, budget=Budget(max_transitions=3))
-    with pytest.raises(ResourceExceededError):
-        determinize(a, budget=Budget(max_transitions=3))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -331,7 +317,14 @@ def reduce_bisim_reference(aut):
 
 
 def intersect_reference(a, b, budget):
-    ai, bi = a.index(), b.index()
+    def by_symbol(aut):
+        """{symbol: {arity: [(children, target)]}} in transition order"""
+        idx = {}
+        for children, sym, q in aut.transitions:
+            idx.setdefault(sym, {}).setdefault(len(children), []).append((children, q))
+        return idx
+
+    ai, bi = by_symbol(a), by_symbol(b)
 
     def child_indexes(idx):
         u, b1, b2 = {}, {}, {}
@@ -576,15 +569,15 @@ def test_witness_deterministic_tie_break():
 
 
 def test_json_round_trip_and_stability():
+    # nothing reads a dump back, so what is left to check is its stability
     a = random_automaton(5)
     obj = to_json(a)
-    b = from_json(obj)
-    assert language(b) == {map_symbols(lambda s: s, t) for t in language(a)}
     # dumping twice gives identical bytes
     assert json.dumps(obj, sort_keys=True) == json.dumps(to_json(a), sort_keys=True)
-    # and a rebuilt automaton dumps to an equivalent canonical form
-    assert json.dumps(to_json(from_json(obj)), sort_keys=True) == \
-        json.dumps(to_json(from_json(to_json(a))), sort_keys=True)
+    # and so does the same automaton assembled in another order
+    b = TreeAutomaton(a.alphabet[::-1], a.states[::-1], a.final,
+                      a.transitions[::-1])
+    assert json.dumps(to_json(b), sort_keys=True) == json.dumps(obj, sort_keys=True)
 
 
 def test_size():
