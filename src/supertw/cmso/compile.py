@@ -17,13 +17,15 @@ complement, are sound:
     and an FO edge variable at exactly one such position.
 
 The validity automaton accepts exactly the canonical interpreted terms.
-Each subformula is compiled over exactly its own free variables; binary
-connectives lift both operands to the union alphabet by reading symbols
-through flag-erasure maps while running a product based on the validity
-automaton, which keeps alphabets minimal deep in the formula.  Negation
-is computed relative to the validity automaton, existential
-quantification is flag erasure (projection), and a final erasure to the
-plain bag alphabet yields the sentence automaton.
+Each subformula is compiled over exactly its own free variables, which
+keeps alphabets minimal deep in the formula.  Every boolean step is one
+construction, `subset_product`: the validity automaton of the node's
+scope in product with subset simulations of the operands, each lifted
+to that scope by reading symbols through a flag-erasure map.  It
+computes and, or, negation relative to validity, and the lift of an
+operand into a scope with a variable it does not use.
+Existential quantification is flag erasure (projection), and a final
+erasure to the plain bag alphabet yields the sentence automaton.
 """
 
 from __future__ import annotations
@@ -397,6 +399,7 @@ class _SubsetSim:
     symbols through an erasure map (to lift over a larger alphabet)."""
 
     def __init__(self, other, erase=None):
+        self.alphabet = other.alphabet
         self.final = frozenset(other.final)
         self.erase = erase
         leaf_by_sym = {}
@@ -457,31 +460,23 @@ class _SubsetSim:
         return bool(s & self.final)
 
 
-def combine_on_validity(val, sims, mode, budget, stage="combine"):
-    """Product of validity with subset simulations of several automata.
+def subset_product(val, sims, mode, budget):
+    """Product of the validity automaton with subset simulations.
 
-    mode "and": accept when every simulation reaches a final state
-    (states where some simulation dies are pruned).  mode "or": accept
-    when at least one does.  One simulation under "and" (a lift into a
-    wider scope) gets its own unrolled steps.
+    A product state pairs a state of val with one subset per simulation.
+    mode "and" accepts when every simulation hits a final state, and
+    prunes the states where some simulation dies. mode "or" accepts when
+    at least one hits. mode "not" accepts when none hits: with one
+    simulation it is L(val) minus the operand's language, the canonical
+    complement. The budget stage is "not" for "not" and "combine" for
+    "and" and "or". A simulation read without an erasure map must run
+    over val's alphabet.
     """
-    want_all = mode == "and"
-
-    if want_all and len(sims) == 1:
-        sim = sims[0]
-
-        def leaf_f(sym):
-            s = sim.leaf(sym)
-            return (s,) if s else None
-
-        def unary_f(m, sym):
-            s = sim.unary(m[0], sym)
-            return (s,) if s else None
-
-        def binary_f(m1, m2, sym):
-            s = sim.binary(m1[0], m2[0], sym)
-            return (s,) if s else None
-    elif want_all:
+    for sim in sims:
+        if sim.erase is None and sim.alphabet != val.alphabet:
+            raise AlphabetMismatchError(
+                f"{mode}: operand and validity alphabets differ")
+    if mode == "and":
         def leaf_f(sym):
             out = []
             for sim in sims:
@@ -508,40 +503,34 @@ def combine_on_validity(val, sims, mode, budget, stage="combine"):
                     return None
                 out.append(s3)
             return tuple(out)
-    else:
+
+        def final_f(m):
+            return all(map(_SubsetSim.hit, sims, m))
+    else:  # loops, not generators: negation runs these steps most
         def leaf_f(sym):
             return tuple(sim.leaf(sym) for sim in sims)
 
         def unary_f(m, sym):
-            return tuple(sim.unary(s, sym) for s, sim in zip(m, sims))
+            out = []
+            for s, sim in zip(m, sims):
+                out.append(sim.unary(s, sym))
+            return tuple(out)
 
         def binary_f(m1, m2, sym):
-            return tuple(sim.binary(s1, s2, sym)
-                         for s1, s2, sim in zip(m1, m2, sims))
+            out = []
+            for s1, s2, sim in zip(m1, m2, sims):
+                out.append(sim.binary(s1, s2, sym))
+            return tuple(out)
 
-    if want_all:
-        def final_f(m):
-            return all(sim.hit(s) for s, sim in zip(m, sims))
-    else:
-        def final_f(m):
-            return any(sim.hit(s) for s, sim in zip(m, sims))
+        if mode == "or":
+            def final_f(m):
+                return any(map(_SubsetSim.hit, sims, m))
+        else:
+            def final_f(m):
+                return not any(map(_SubsetSim.hit, sims, m))
 
-    return functional_product(val, leaf_f, unary_f, binary_f, final_f,
-                              budget, stage)
-
-
-def subtract_on_validity(val, other, budget, stage="not"):
-    """L(val) minus L(other); the canonical complement."""
-    if val.alphabet != other.alphabet:
-        raise AlphabetMismatchError("difference requires equal alphabets")
-    sim = _SubsetSim(other)
-    return functional_product(
-        val,
-        lambda sym: (sim.leaf(sym),),
-        lambda m, sym: (sim.unary(m[0], sym),),
-        lambda m1, m2, sym: (sim.binary(m1[0], m2[0], sym),),
-        lambda m: not sim.hit(m[0]),
-        budget, stage)
+    return functional_product(val, leaf_f, unary_f, binary_f, final_f, budget,
+                              "not" if mode == "not" else "combine")
 
 
 def _pointwise_steps(pred):
@@ -634,10 +623,6 @@ def _atom_steps(phi):
     raise CmsoKindError(f"not an atomic formula: {phi!r}")
 
 
-def _empty_automaton(alphabet):
-    return TreeAutomaton(alphabet, (), (), ())
-
-
 class _Compiler:
     """Recursive compiler; each node is compiled over exactly its free
     variables, with on-the-fly lifting where operands meet."""
@@ -653,11 +638,17 @@ class _Compiler:
     def shrink(self, aut):
         return reduce_bisim(trim(aut, self.budget), self.budget)
 
-    def lift_sim(self, aut, xs_from, xs_to):
-        if xs_from == xs_to:
-            return _SubsetSim(aut)
-        erase = _erase_map(self.t, xs_to, xs_from)
-        return _SubsetSim(aut, erase)
+    def combine(self, mode, xs, *operands):
+        """`subset_product` of validity(xs) with the operands, shrunk.
+
+        Each operand is (automaton, its scope); one over a narrower scope
+        is lifted into xs by reading each symbol through a flag erasure.
+        """
+        sims = [_SubsetSim(aut, None if own_xs == xs
+                           else _erase_map(self.t, xs, own_xs))
+                for aut, own_xs in operands]
+        return self.shrink(subset_product(self.validity(xs), sims, mode,
+                                          self.budget))
 
     def go(self, phi):
         cached = self.memo.get(phi)
@@ -668,31 +659,24 @@ class _Compiler:
         return out
 
     def dispatch(self, phi):
-        t, budget = self.t, self.budget
         xs = _xtuple(free_vars(phi))
         if isinstance(phi, TrueF):
             return self.validity(xs)
         if isinstance(phi, FalseF):
-            return _empty_automaton(interpreted_alphabet(t, xs))
+            return TreeAutomaton(interpreted_alphabet(self.t, xs), (), (), ())
         if isinstance(phi, (VarEq, MemV, MemE, Inc, Card)):
-            leaf_f, unary_f, binary_f, final_f = _atom_steps(phi)
-            aut = functional_product(self.validity(xs), leaf_f, unary_f,
-                                     binary_f, final_f, budget, "atom")
-            return self.shrink(aut)
+            return self.shrink(functional_product(
+                self.validity(xs), *_atom_steps(phi), self.budget, "atom"))
         if isinstance(phi, Not):
             if isinstance(phi.body, Not):
                 return self.go(phi.body.body)
-            inner = self.go(phi.body)
-            return self.shrink(subtract_on_validity(self.validity(xs),
-                                                    inner, budget))
+            return self.combine("not", xs, (self.go(phi.body), xs))
         if isinstance(phi, (And, Or)):
             mode = "and" if isinstance(phi, And) else "or"
             a = self.go(phi.left)
             b = self.go(phi.right)
-            sims = [self.lift_sim(a, _xtuple(free_vars(phi.left)), xs),
-                    self.lift_sim(b, _xtuple(free_vars(phi.right)), xs)]
-            return self.shrink(combine_on_validity(self.validity(xs), sims,
-                                                   mode, budget))
+            return self.combine(mode, xs, (a, _xtuple(free_vars(phi.left))),
+                                (b, _xtuple(free_vars(phi.right))))
         if isinstance(phi, Implies):
             return self.go(Or(Not(phi.left), phi.right))
         if isinstance(phi, Iff):
@@ -715,8 +699,7 @@ class _Compiler:
             cur_xs = _xtuple(free_vars(inner))
             for var in reversed(binders):
                 aut, cur_xs = self.project_var(var, aut, cur_xs)
-            return self.shrink(subtract_on_validity(self.validity(xs), aut,
-                                                    budget))
+            return self.combine("not", xs, (aut, cur_xs))
         raise CmsoKindError(f"not a formula: {phi!r}")
 
     def exists(self, var, body):
@@ -735,9 +718,7 @@ class _Compiler:
         inner_xs = _xtuple(set(body_xs) | {var})
         if body_xs != inner_xs:
             # vacuous binder: lift so validity still demands a witness
-            sims = [self.lift_sim(aut, body_xs, inner_xs)]
-            aut = self.shrink(combine_on_validity(self.validity(inner_xs),
-                                                  sims, "and", self.budget))
+            aut = self.combine("and", inner_xs, (aut, body_xs))
         outer_xs = _xtuple(set(inner_xs) - {var})
         target = interpreted_alphabet(self.t, outer_xs)
         erase = _erase_map(self.t, inner_xs, outer_xs)
@@ -779,9 +760,7 @@ def compile_open(phi, t: int, xvars, budget=None) -> TreeAutomaton:
     own_xs = _xtuple(free_vars(phi))
     if own_xs == xs:
         return aut
-    sims = [comp.lift_sim(aut, own_xs, xs)]
-    return comp.shrink(combine_on_validity(comp.validity(xs), sims, "and",
-                                           budget))
+    return comp.combine("and", xs, (aut, own_xs))
 
 
 _COMPILE_CACHE = ChargedCache("compile")

@@ -133,30 +133,6 @@ def width(decomp: Term) -> int:
     return max(len(decomp.symbol_at(p).B) for p in decomp.positions()) - 1
 
 
-def count_decoded_vertices(decomp: Term, _cache=None) -> int:
-    """|V(G(T))| without building the graph: components close when their
-    label is dropped along an arc; components still open at the root count."""
-    if _cache is None:
-        _cache = {}
-
-    def closed(node):
-        got = _cache.get(node)
-        if got is None:
-            got = 0
-            for c in node.children:
-                got += closed(c) + len(c.symbol.B - node.symbol.B)
-            _cache[node] = got
-        return got
-
-    return closed(decomp) + len(decomp.symbol.B)
-
-
-def same_shape(t1: Term, t2: Term) -> bool:
-    if len(t1.children) != len(t2.children):
-        return False
-    return all(same_shape(a, b) for a, b in zip(t1.children, t2.children))
-
-
 def is_sub_decomposition(sub: Term, sup: Term) -> bool:
     """Shape equality, pointwise sub-bags (B ⊆ B', b ⊆ b'), and continuity:
     wherever a label survives across an arc above, it must either survive or

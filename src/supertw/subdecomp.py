@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations
 
-from .decomp import ConcreteBag, bag, bag_alphabet
+from .decomp import ConcreteBag, bag, bag_alphabet, sub_bags
 from .errors import AlphabetMismatchError
 from .tree_automata import TreeAutomaton
 from .util import Budget, osorted
@@ -56,21 +56,9 @@ def pair_alphabet(t: int):
     """All (sub-bag, super-bag) symbol pairs over B(t)."""
     out = []
     for sup in bag_alphabet(t):
-        for sub in _sub_bags_of(sup):
+        for sub in sub_bags(sup):
             out.append(PairBag(sub, sup))
     return tuple(osorted(out))
-
-
-def _sub_bags_of(sup: ConcreteBag):
-    subs = []
-    labels = sorted(sup.B)
-    for k in range(len(labels) + 1):
-        for keep in combinations(labels, k):
-            kept = frozenset(keep)
-            subs.append(bag(kept))
-            if sup.b and sup.b <= kept:
-                subs.append(bag(kept, sup.b))
-    return subs
 
 
 def _bag_arity_t(aut) -> int:

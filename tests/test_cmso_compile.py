@@ -19,16 +19,18 @@ import pytest
 from supertw.cmso.ast import (And, Card, Exists, Forall, Inc, MemV, Not, Or,
                               Var, VarEq, VarKind)
 from supertw.cmso.compile import (_COMPILE_CACHE, _SubsetSim, _atom_steps,
-                                  compile as compile_formula, compile_open,
-                                  functional_product, interpreted_alphabet,
-                                  subtract_on_validity, validity_automaton)
+                                  _erase_map, compile as compile_formula,
+                                  compile_open, functional_product,
+                                  interpreted_alphabet, subset_product,
+                                  validity_automaton)
 from supertw.cmso.evaluate import eval_direct
 from supertw.cmso.generators import (even_order, gen_diam, gen_vertex_cover,
                                      no_isolated_vertex, some_vertex,
                                      tautology)
 from supertw.cmso.parser import parse
 from supertw.decomp import bag_alphabet, decode_graph, s_maximal_components
-from supertw.errors import CmsoKindError, ResourceExceededError
+from supertw.errors import (AlphabetMismatchError, CmsoKindError,
+                            ResourceExceededError)
 from supertw.solver import clear_caches
 from supertw.terms import enumerate_terms, map_symbols
 from supertw.tree_automata import (TreeAutomaton, accepts, intersect,
@@ -249,18 +251,16 @@ def test_validity_automaton_matches_brute_force(kind):
         assert accepts(aut, tm) == brute_valid(tm, (x,)), repr(tm)
 
 
-def test_compile_open_agrees_with_assignment_eval():
-    x = Var("x", VarKind.VERTEX)
-    y = Var("y", VarKind.EDGE)
-    phi = Exists(y, Inc(x, y))  # "x is not isolated", x free
-    t = 2
-    aut = compile_open(phi, t, (x,))
-    valid = validity_automaton(t, (x,))
-    for tm in enumerate_terms(interpreted_alphabet(t, (x,)), 2):
+def check_open_against_eval(aut, phi, x, t, scope):
+    """aut, over the flags of scope, accepts exactly the canonical terms
+    whose decoded graph satisfies phi under the vertex x they flag."""
+    valid = validity_automaton(t, scope)
+    for tm in enumerate_terms(interpreted_alphabet(t, scope), 2):
         got = accepts(aut, tm)
         if not accepts(valid, tm):
-            assert not got
+            assert not got and not brute_valid(tm, scope)
             continue
+        assert brute_valid(tm, scope)
         plain = map_symbols(lambda s: s.bag, tm)
         g = decode_graph(plain)
         flags = flag_positions(tm, x)
@@ -271,6 +271,31 @@ def test_compile_open_agrees_with_assignment_eval():
                     value = (s, root)
         assert value is not None
         assert got == eval_direct(phi, g, {x: value})
+
+
+def test_compile_open_agrees_with_assignment_eval():
+    x = Var("x", VarKind.VERTEX)
+    y = Var("y", VarKind.EDGE)
+    phi = Exists(y, Inc(x, y))  # "x is not isolated", x free
+    check_open_against_eval(compile_open(phi, 2, (x,)), phi, x, 2, (x,))
+
+
+def test_compile_open_lifts_into_a_wider_scope():
+    # the scope holds an edge-set variable that phi does not use, so the
+    # compiled formula is lifted into it by a one-operand "and"
+    x = Var("x", VarKind.VERTEX)
+    y = Var("y", VarKind.EDGE)
+    es = Var("E", VarKind.EDGE_SET)
+    phi = Exists(y, Inc(x, y))
+    clear_caches()
+    budget = Budget(None)
+    aut = compile_open(phi, 2, (x, es), budget)
+    check_open_against_eval(aut, phi, x, 2, (x, es))
+    # as the unrolled one-operand steps built it
+    text = json.dumps(to_json(aut), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b9c574d58eae3cf769b07971cf33d7a2dc814e6d9bf1e43eb6a59e3a4cb80b56")
+    assert budget.used == 4608
 
 
 # --- dense product ids change nothing -------------------------------------
@@ -362,7 +387,7 @@ def test_functional_product_matches_reference(name):
     other = reduce_bisim(trim(atom))
     sim = _SubsetSim(other)
     new, ref = Budget(None), Budget(None)
-    got = subtract_on_validity(val, other, new)
+    got = subset_product(val, [_SubsetSim(other)], "not", new)
     want = functional_product_reference(
         val, lambda sym: (sim.leaf(sym),),
         lambda m, sym: (sim.unary(m[0], sym),),
@@ -394,8 +419,23 @@ def test_subset_simulation_determinizes_and_complements(seed):
         assert sim.hit(got) == accepts(a, tm)
     everything = TreeAutomaton(AB, [0], [0], [(ch, sym, 0) for sym in AB
                                               for ch in ((), (0,), (0, 0))])
-    diff = subtract_on_validity(everything, a, Budget())
+    diff = subset_product(everything, [_SubsetSim(a)], "not", Budget())
     assert language(diff) == set(TERMS3) - language(a)
+
+
+@pytest.mark.parametrize("mode", ["and", "or", "not"])
+def test_subset_product_alphabet_mismatch(mode):
+    # an operand read as is must be over validity's alphabet; one read
+    # through an erasure map is over the map's narrower scope
+    x = Var("x", VarKind.VERTEX)
+    es = Var("E", VarKind.EDGE_SET)
+    val = validity_automaton(2, (x, es))
+    narrow = validity_automaton(2, (x,))
+    with pytest.raises(AlphabetMismatchError):
+        subset_product(val, [_SubsetSim(narrow)], mode, Budget())
+    erase = _erase_map(2, (x, es), (x,))
+    lifted = subset_product(val, [_SubsetSim(narrow, erase)], mode, Budget())
+    assert lifted.alphabet == val.alphabet
 
 
 def _binary_emits(kernel, *args):
@@ -487,3 +527,42 @@ def test_compiled_formula_pinned(name):
     clear_caches()  # a real build, not a cache hit
     text = json.dumps(to_json(compile_formula(make(), 3)), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# Sentences with a vacuous binder: its scope lacks the bound variable, so
+# the body is lifted into it (a one-operand "and") before the projection.
+VACUOUS = [
+    "exists v x. true",
+    "forall v x. exists vs A. exists e y. inc(x, y)",
+    "exists e y. exists v x. true",
+    "forall e y. false",
+]
+
+# SHA-256 of the canonical JSON of compile(phi, 3) and its charge, as the
+# unrolled one-operand steps built them
+PINNED_LIFT = {
+    VACUOUS[0]: (
+        "d1dee6811f6820f4bc3d8c54e317a341d4e62df7d69aa9ccdb926da4944ca11a",
+        12856),
+    VACUOUS[1]: (
+        "6f20800f982a54d8ccaf8c48521ada749abfde9fb3adc3c1a7ad9c4e9285adac",
+        234626),
+}
+
+
+@pytest.mark.parametrize("text", sorted(PINNED_LIFT))
+def test_vacuous_binder_pinned(text):
+    digest, charged = PINNED_LIFT[text]
+    clear_caches()
+    budget = Budget(None)
+    dump = json.dumps(to_json(compile_formula(parse(text), 3, budget)),
+                      sort_keys=True)
+    assert hashlib.sha256(dump.encode()).hexdigest() == digest
+    assert budget.used == charged
+
+
+def test_vacuous_binders_agree_with_evaluator():
+    terms = terms_upto(2, 2)
+    terms += random.Random(20261018).sample(terms_upto(2, 3), 400)
+    for text in VACUOUS:
+        check_agreement(parse(text), 2, terms)

@@ -4,8 +4,8 @@ import pytest
 
 from corpus import complete, cycle, multi_edge, path, single_vertex, spider
 from supertw.decomp import (ConcreteBag, TDNode, bag, bag_alphabet,
-                            count_decoded_vertices, decode_graph,
-                            decomposition_from_json, decomposition_to_json,
+                            decode_graph, decomposition_from_json,
+                            decomposition_to_json,
                             encode, enumerate_sub_decompositions,
                             is_sub_decomposition, is_valid_decomposition,
                             s_maximal_components, sub_bags, td_width, width)
@@ -89,14 +89,6 @@ def test_width_conventions():
     assert width(term(bag(()))) == -1
     assert width(k2_term()) == 1
     assert width(term(bag(()), term(bag({1, 2, 3})))) == 2
-
-
-def test_count_decoded_vertices_matches_decode():
-    rng = random.Random(7)
-    alpha = bag_alphabet(2)
-    for _ in range(200):
-        t = _random_term(rng, alpha, depth=4)
-        assert count_decoded_vertices(t) == len(decode_graph(t).vertices)
 
 
 def _random_term(rng, alpha, depth):
