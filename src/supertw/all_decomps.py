@@ -280,14 +280,21 @@ class DecompMachine:
 
     A state is (live, closed): live maps each label of the current root
     bag to its concrete vertex and a bitmask of realized incident edges;
-    closed counts components already ended. The engine exposes leaf
-    states, a step function on child states, and the acceptance test;
+    closed counts components already ended. The engine exposes a step
+    function on zero, one or two child states and the acceptance test;
     `materialize` explores it by bottom-up reachability.
 
-    For binary steps it also exposes a pair key per (state, bag) and a
-    compatibility test on two keys. They mirror step's early returns:
-    two child states whose keys are incompatible under a bag get [] from
-    step in either order, so an exploration may skip such pairs unseen.
+    The step reads one bag set B and returns the targets for every symbol
+    with that bag set (`bag_sets[B]`, in alphabet order) at once: the
+    symbols differ only in the edge they realize, after all the work of
+    merging the children. It is a pure function of the children and B,
+    and symmetric in its two children, so a caller may reuse one result
+    for both orders of a pair.
+
+    For binary steps it also exposes a pair key per (state, bag set) and
+    a compatibility test on two keys. They mirror the step's early
+    returns: two child states whose keys are incompatible under B get no
+    target under any symbol of B, so an exploration may skip them unseen.
     """
 
     def __init__(self, g: Graph, t: int):
@@ -297,11 +304,30 @@ class DecompMachine:
         self.t = t
         self.n = len(g.vertices)
         self.full = {v: (1 << len(g.incident_edges(v))) - 1 for v in g.vertices}
-        self.bit = {}
+        bit = {}
         for v in g.vertices:
             for i, e in enumerate(g.incident_edges(v)):
-                self.bit[(v, e)] = 1 << i
+                bit[(v, e)] = 1 << i
+        # (u, w) -> the mask bits, at u and at w, of each u-w edge in
+        # u's incidence order
+        self._between: dict = {}
+        for u in g.vertices:
+            for e in g.incident_edges(u):
+                (w,) = g.ends[e] - {u}
+                self._between.setdefault((u, w), []).append(
+                    (bit[(u, e)], bit[(w, e)]))
         self.alphabet = tuple(osorted(bag_alphabet(t)))
+        self.bag_sets: dict = {}
+        for sym in self.alphabet:
+            self.bag_sets.setdefault(sym.B, []).append(sym)
+        # B -> its labels ascending, and per symbol of bag_sets[B] the
+        # positions of its flagged pair among them (None for no edge)
+        self._layout: dict = {}
+        for B, syms in self.bag_sets.items():
+            labels = sorted(B)
+            self._layout[B] = (labels, [
+                tuple(labels.index(s) for s in sorted(sym.b)) if sym.b else None
+                for sym in syms])
         self._cut_cache: dict = {}
 
     def _cut(self, live, B):
@@ -328,64 +354,71 @@ class DecompMachine:
         self._cut_cache[key] = out
         return out
 
-    def leaf_states(self, sym: ConcreteBag):
-        return self.step((), sym)
+    def step_bag_set(self, children, B):
+        """All states the machine may enter over child states, reading
+        each symbol of bag set B: one sequence per symbol of bag_sets[B].
 
-    def step(self, children, sym: ConcreteBag):
-        """All states the machine may enter reading sym over child states."""
-        B = sym.B
+        Everything before the edge choice depends on the children and B
+        alone: their cuts, the label merge, the vertex-collision check and
+        the placements of fresh labels. It runs once; each symbol then
+        realizes its own edge, if any, on every placement. The results do
+        not depend on the order of the children: the merge is a union of
+        disjoint masks, the closed count a sum, and the targets are
+        packed by label and enumerated by the free vertices' order.
+        """
+        labels, flags = self._layout[B]
+        none = ((),) * len(flags)
         merged = {}
         closed = 0
         for state in children:
             cut = self._cut(state[0], B)
             if cut is None:
-                return []
+                return none
             kept, deaths = cut
             closed += state[1] + deaths
-            for s, v, mask in kept:
-                if s in merged:
-                    v0, m0 = merged[s]
-                    if v0 != v or m0 & mask:
-                        return []
-                    merged[s] = (v, m0 | mask)
+            for entry in kept:
+                s = entry[0]
+                seen = merged.get(s)
+                if seen is None:
+                    merged[s] = entry
+                elif seen[1] != entry[1] or seen[2] & entry[2]:
+                    return none
                 else:
-                    merged[s] = (v, mask)
+                    merged[s] = (s, entry[1], seen[2] | entry[2])
         if closed + len(B) > self.n:
-            return []
-        used = set()
-        for s, (v, _) in merged.items():
-            if v in used:
-                return []
-            used.add(v)
-        fresh = sorted(B - set(merged))
+            return none
+        used = {v for _, v, _ in merged.values()}
+        if len(used) != len(merged):
+            return none
+        fresh = [s for s in labels if s not in merged]
         free = [v for v in self.g.vertices if v not in used]
-        out = []
+        out = [[] for _ in flags]
         for vs in permutations(free, len(fresh)):
             nu = dict(merged)
             for s, v in zip(fresh, vs):
-                nu[s] = (v, 0)
-            if sym.b:
-                s1, s2 = sorted(sym.b)
-                (u, m1), (w, m2) = nu[s1], nu[s2]
-                for e in self.g.incident_edges(u):
-                    if self.g.ends[e] != frozenset((u, w)):
-                        continue
-                    b1, b2 = self.bit[(u, e)], self.bit[(w, e)]
+                nu[s] = (s, v, 0)
+            live = [nu[s] for s in labels]
+            for targets, flag in zip(out, flags):
+                if flag is None:
+                    targets.append((tuple(live), closed))
+                    continue
+                i1, i2 = flag
+                s1, u, m1 = live[i1]
+                s2, w, m2 = live[i2]
+                for b1, b2 in self._between.get((u, w), ()):
                     if m1 & b1 or m2 & b2:
                         continue
-                    nu2 = dict(nu)
-                    nu2[s1] = (u, m1 | b1)
-                    nu2[s2] = (w, m2 | b2)
-                    out.append(self._pack(nu2, closed))
-            else:
-                out.append(self._pack(nu, closed))
+                    both = list(live)
+                    both[i1] = (s1, u, m1 | b1)
+                    both[i2] = (s2, w, m2 | b2)
+                    targets.append((tuple(both), closed))
         return out
 
     def pair_key(self, state, B):
-        """What step reads of a child state before its masks: the
+        """What the step reads of a child state before its masks: the
         label->vertex map of the live labels that survive into B, and
         the components closed once the others die there. None when the
-        cut fails, so step rejects every pair with this state under B."""
+        cut fails, so the step rejects every pair with this state under B."""
         cut = self._cut(state[0], B)
         if cut is None:
             return None
@@ -393,11 +426,12 @@ class DecompMachine:
         return tuple((s, v) for s, v, _ in kept), state[1] + deaths
 
     def compatible(self, k1, k2, size) -> bool:
-        """Whether step may pair children with pair keys k1 and k2 under a
-        bag of `size` labels: shared labels name the same vertex, the
-        merged labels name distinct vertices, and the closed components
-        plus the bag's labels number at most n. A pair failing this gets
-        [] from step in either order; mask overlap is left to step."""
+        """Whether the step may pair children with pair keys k1 and k2
+        under a bag set of `size` labels: shared labels name the same
+        vertex, the merged labels name distinct vertices, and the closed
+        components plus the bag's labels number at most n. A pair failing
+        this gets no target in either order; mask overlap is left to the
+        step."""
         (nu1, c1), (nu2, c2) = k1, k2
         if c1 + c2 + size > self.n:
             return False
@@ -412,9 +446,6 @@ class DecompMachine:
             elif w != v:
                 return False
         return True
-
-    def _pack(self, nu, closed):
-        return (tuple((s, v, m) for s, (v, m) in sorted(nu.items())), closed)
 
     def is_final(self, state) -> bool:
         live, closed = state
@@ -455,45 +486,65 @@ def materialize(machine: DecompMachine, budget: Budget | None = None) -> TreeAut
 
     Bottom-up reachability: expanding state q steps it alone under every
     symbol and pairs it, both ways round, with each state expanded so far
-    (q included) in discovery order. A pairing index per bag keeps that
-    order but skips the partners whose pair key is incompatible with q's:
-    step returns [] for exactly those. So the states, the transitions,
-    their order and every budget charge are those of trying all pairs.
+    (q included) in discovery order. A pairing index per bag set keeps
+    that order but skips the partners whose pair key is incompatible with
+    q's: the step gives them no target under any symbol of the bag set.
+
+    The step serves all symbols of a bag set at once and is symmetric in
+    its two children, so each unordered pair {q, other} is merged once
+    per bag set. Its lists are then emitted per symbol, in alphabet
+    order, for (q, other) and then (other, q). So the states, the
+    transitions, their order and every budget charge are those of
+    stepping every ordered pair under every symbol one at a time.
     """
     budget = budget or Budget()
     known: dict = {}
     order: list = []
-    transitions: dict = {}
+    transitions: list = []
 
-    def discover(children, sym):
-        for q in machine.step(children, sym):
-            tr = (children, sym, q)
-            if tr not in transitions:
-                transitions[tr] = None
-                budget.spend(1, "decompositions-of-g")
+    # Each (children, symbol) is discovered once and its targets are
+    # distinct, so every transition is new: no duplicate check is needed.
+    def discover(children, sym, targets):
+        for q in targets:
+            transitions.append((children, sym, q))
+            budget.spend(1, "decompositions-of-g")
             if q not in known:
                 known[q] = None
                 order.append(q)
 
-    for sym in machine.alphabet:
-        discover((), sym)
-    indexes = {B: _PairIndex(machine, B)
-               for B in dict.fromkeys(sym.B for sym in machine.alphabet)}
+    # each symbol with its bag set and its position among that set's symbols
+    slots = [(sym, sym.B, machine.bag_sets[sym.B].index(sym))
+             for sym in machine.alphabet]
+    leaves = {B: machine.step_bag_set((), B) for B in machine.bag_sets}
+    for sym, B, j in slots:
+        discover((), sym, leaves[B][j])
+    indexes = {B: _PairIndex(machine, B) for B in machine.bag_sets}
     frontier = 0
     while frontier < len(order):
         q = order[frontier]
-        partners = {}
+        alone = {}
+        pairs = {}
         for B, index in indexes.items():
+            alone[B] = machine.step_bag_set((q,), B)
             key = machine.pair_key(q, B)
-            partners[B] = () if key is None else index.add(key, frontier)
-        frontier += 1
-        for sym in machine.alphabet:
-            discover((q,), sym)
-            for i in partners[sym.B]:
+            if key is None:
+                pairs[B] = ()
+                continue
+            partners = []
+            for i in index.add(key, frontier):
                 other = order[i]
-                discover((q, other), sym)
+                lists = machine.step_bag_set((q, other), B)
+                if any(lists):
+                    partners.append((other, lists))
+            pairs[B] = partners
+        frontier += 1
+        for sym, B, j in slots:
+            discover((q,), sym, alone[B][j])
+            for other, lists in pairs[B]:
+                targets = lists[j]
+                discover((q, other), sym, targets)
                 if other is not q:
-                    discover((other, q), sym)
+                    discover((other, q), sym, targets)
 
     final = [q for q in order if machine.is_final(q)]
     return TreeAutomaton.raw(machine.alphabet, order, final, transitions)
@@ -503,7 +554,7 @@ def build_all_decompositions(g: Graph, t: int, budget: Budget | None = None) -> 
     """Automaton over plain bags accepting exactly the decompositions of g.
 
     Materializes the DecompMachine (see `materialize`, which skips the
-    child pairs step rejects by pair key) and reduces the result;
+    child pairs the step rejects by pair key) and reduces the result;
     accepted terms decode to graphs isomorphic to g.
     """
     budget = budget or Budget()

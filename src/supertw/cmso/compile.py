@@ -694,6 +694,11 @@ class _Compiler:
             while isinstance(body, Forall):
                 binders.append(body.var)
                 body = body.body
+            scope = free_vars(body)
+            binders = [var for var in binders
+                       if not _vacuous_set_binder(var, scope)]
+            if not binders:
+                return self.go(body)
             inner = body.body if isinstance(body, Not) else Not(body)
             aut = self.go(inner)
             cur_xs = _xtuple(free_vars(inner))
@@ -704,6 +709,8 @@ class _Compiler:
 
     def exists(self, var, body):
         """Automaton for (exists var. body) over free(body) minus var."""
+        if _vacuous_set_binder(var, free_vars(body)):
+            return self.go(body)
         z = _eq_partner(var, body)
         if z is not None:
             # exists w (psi /\ w = z)  ==  psi[w := z]; one variable less
@@ -717,13 +724,22 @@ class _Compiler:
         """Erase one variable's flags; returns (automaton, its scope)."""
         inner_xs = _xtuple(set(body_xs) | {var})
         if body_xs != inner_xs:
-            # vacuous binder: lift so validity still demands a witness
+            # vacuous first-order binder: lift so validity still demands
+            # a vertex or an edge
             aut = self.combine("and", inner_xs, (aut, body_xs))
         outer_xs = _xtuple(set(inner_xs) - {var})
         target = interpreted_alphabet(self.t, outer_xs)
         erase = _erase_map(self.t, inner_xs, outer_xs)
         out = self.shrink(project(aut, lambda sym: erase[sym], target))
         return out, outer_xs
+
+
+def _vacuous_set_binder(var, scope):
+    """Whether a binder of var over a body with free variables `scope`
+    may be dropped: exists A. psi and forall A. psi are psi when the set
+    variable A is not free in psi, since the empty set always exists. A
+    vacuous first-order binder still asks for some vertex or edge."""
+    return var.kind.is_set and var not in scope
 
 
 def _eq_partner(var, body):

@@ -9,6 +9,7 @@ definition for the enriched automaton.
 
 import hashlib
 import json
+from itertools import permutations
 
 import pytest
 
@@ -267,16 +268,94 @@ def test_disconnected_input_rejected():
         build_all_decompositions(Graph([0, 1], {}), 2)
 
 
-# --- the pairing index changes nothing ----------------------------------
+# --- the pairing index and the per-bag-set step change nothing ---------
+
+def edge_bits(g):
+    return {(v, e): 1 << i for v in g.vertices
+            for i, e in enumerate(g.incident_edges(v))}
+
+
+def cut_reference(g, live, B):
+    """Survivors and deaths of live labels under B, or None when a dropped
+    label has unrealized incidence."""
+    kept = []
+    deaths = 0
+    for s, v, mask in live:
+        if s in B:
+            kept.append((s, v, mask))
+        elif mask == (1 << len(g.incident_edges(v))) - 1:
+            deaths += 1
+        else:
+            return None
+    return tuple(kept), deaths
+
+
+def step_reference(g, children, sym, bit):
+    """All states the machine may enter reading one symbol over child
+    states, one symbol at a time and with its own cut and packing, so it
+    shares no step code with DecompMachine. `bit` is edge_bits(g)."""
+    B = sym.B
+    merged = {}
+    closed = 0
+    for state in children:
+        cut = cut_reference(g, state[0], B)
+        if cut is None:
+            return []
+        kept, deaths = cut
+        closed += state[1] + deaths
+        for s, v, mask in kept:
+            if s in merged:
+                v0, m0 = merged[s]
+                if v0 != v or m0 & mask:
+                    return []
+                merged[s] = (v, m0 | mask)
+            else:
+                merged[s] = (v, mask)
+    if closed + len(B) > len(g.vertices):
+        return []
+    used = set()
+    for s, (v, _) in merged.items():
+        if v in used:
+            return []
+        used.add(v)
+    fresh = sorted(B - set(merged))
+    free = [v for v in g.vertices if v not in used]
+    out = []
+    for vs in permutations(free, len(fresh)):
+        nu = dict(merged)
+        for s, v in zip(fresh, vs):
+            nu[s] = (v, 0)
+        if sym.b:
+            s1, s2 = sorted(sym.b)
+            (u, m1), (w, m2) = nu[s1], nu[s2]
+            for e in g.incident_edges(u):
+                if g.ends[e] != frozenset((u, w)):
+                    continue
+                b1, b2 = bit[(u, e)], bit[(w, e)]
+                if m1 & b1 or m2 & b2:
+                    continue
+                nu2 = dict(nu)
+                nu2[s1] = (u, m1 | b1)
+                nu2[s2] = (w, m2 | b2)
+                out.append(pack_reference(nu2, closed))
+        else:
+            out.append(pack_reference(nu, closed))
+    return out
+
+
+def pack_reference(nu, closed):
+    return (tuple((s, v, m) for s, (v, m) in sorted(nu.items())), closed)
+
 
 def all_pairs_reference(g, t, budget):
-    """Reachability trying every (state, earlier state, symbol) triple:
-    the construction `materialize` must reproduce exactly."""
+    """Reachability trying every (state, earlier state, symbol) triple with
+    step_reference: the construction `materialize` must reproduce exactly."""
     machine = DecompMachine(g, t)
+    bit = edge_bits(g)
     known, order, transitions = {}, [], {}
 
     def discover(children, sym):
-        for q in machine.step(children, sym):
+        for q in step_reference(g, children, sym, bit):
             tr = (children, sym, q)
             if tr not in transitions:
                 transitions[tr] = None
@@ -314,6 +393,34 @@ def test_pairing_index_matches_all_pairs(t, max_vertices):
         assert aut.final == frozenset(final), name
         assert list(aut.transitions) == transitions, name
         assert new_budget.used == ref_budget.used == len(transitions), name
+
+
+@pytest.mark.parametrize("t,max_vertices", [(2, 5), (3, 3)])
+def test_bag_set_step_matches_reference_in_both_orders(t, max_vertices):
+    for name, g in connected_small_corpus():
+        if len(g.vertices) > max_vertices:
+            continue
+        machine = DecompMachine(g, t)
+        bit = edge_bits(g)
+
+        def stepped(children, B):
+            got = [list(ts) for ts in machine.step_bag_set(children, B)]
+            want = [step_reference(g, children, sym, bit)
+                    for sym in machine.bag_sets[B]]
+            assert got == want, (name, children, sorted(B))
+            return got
+
+        assert [sym for syms in machine.bag_sets.values()
+                for sym in syms] == list(machine.alphabet)
+        states = materialize(machine, Budget(None)).states
+        for B in machine.bag_sets:
+            stepped((), B)
+            for i, q in enumerate(states):
+                stepped((q,), B)
+                for other in states[:i]:
+                    assert stepped((q, other), B) == stepped((other, q), B), \
+                        (name, q, other, sorted(B))
+                stepped((q, q), B)
 
 
 def test_budget_exhausts_inside_decompositions():

@@ -529,8 +529,9 @@ def test_compiled_formula_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-# Sentences with a vacuous binder: its scope lacks the bound variable, so
-# the body is lifted into it (a one-operand "and") before the projection.
+# Sentences with a vacuous binder. A first-order one is lifted: the body
+# goes into a scope with the bound variable (a one-operand "and") before
+# the projection. A set one is dropped, the body compiled alone.
 VACUOUS = [
     "exists v x. true",
     "forall v x. exists vs A. exists e y. inc(x, y)",
@@ -538,15 +539,19 @@ VACUOUS = [
     "forall e y. false",
 ]
 
-# SHA-256 of the canonical JSON of compile(phi, 3) and its charge, as the
-# unrolled one-operand steps built them
+# SHA-256 of the canonical JSON of compile(phi, 3) and its charge. The
+# digests are those the unrolled one-operand steps built; the two set
+# binders charge what their body forall v x. exists e y. inc(x, y) does.
 PINNED_LIFT = {
     VACUOUS[0]: (
         "d1dee6811f6820f4bc3d8c54e317a341d4e62df7d69aa9ccdb926da4944ca11a",
         12856),
     VACUOUS[1]: (
         "6f20800f982a54d8ccaf8c48521ada749abfde9fb3adc3c1a7ad9c4e9285adac",
-        234626),
+        103846),
+    "forall vs A. forall v x. exists e y. inc(x, y)": (
+        "6f20800f982a54d8ccaf8c48521ada749abfde9fb3adc3c1a7ad9c4e9285adac",
+        103846),
 }
 
 
@@ -559,6 +564,32 @@ def test_vacuous_binder_pinned(text):
                       sort_keys=True)
     assert hashlib.sha256(dump.encode()).hexdigest() == digest
     assert budget.used == charged
+
+
+# A vacuous set binder compiles to exactly what its body does alone,
+# also inside a forall block and next to a first-order binder that stays
+EVEN = "exists vs a. (forall v x. x in a) and card(2, 0, a)"
+NO_ISOLATED = "forall v x. exists e y. inc(x, y)"
+SET_BINDER_DROPPED = [
+    ("exists vs A. true", "true"),
+    ("forall vs A. true", "true"),
+    ("exists es B. false", "false"),
+    ("forall es B. false", "false"),
+    (f"forall vs A. forall es B. {EVEN}", EVEN),
+    (f"exists es B. {NO_ISOLATED}", NO_ISOLATED),
+    ("forall v x. forall es B. exists e y. inc(x, y)", NO_ISOLATED),
+]
+
+
+@pytest.mark.parametrize("text,body", SET_BINDER_DROPPED)
+def test_vacuous_set_binder_compiles_to_its_body(text, body):
+    def dump(text):
+        clear_caches()
+        budget = Budget(None)
+        aut = compile_formula(parse(text), 3, budget)
+        return json.dumps(to_json(aut), sort_keys=True), budget.used
+
+    assert dump(text) == dump(body)
 
 
 def test_vacuous_binders_agree_with_evaluator():
