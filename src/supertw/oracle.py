@@ -9,7 +9,7 @@ solver's verdicts are cross-checked against these at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 
 from .decomp import TDNode
 from .errors import SizeLimitError
@@ -177,6 +177,7 @@ def search_supergraph(g: Graph, phi, t: int, budget: SupergraphBudget | None = N
     base_vertices = list(g.vertices)
     base_edges = {e: g.ends[e] for e in g.edges}
     existing_pairs = {g.ends[e] for e in g.edges if g.ends[e]}
+    base_adjacent = {p for p in existing_pairs if len(p) == 2}
 
     for kv in range(budget.max_extra_vertices + 1):
         extra = _fresh_ids(set(base_vertices), "w", kv)
@@ -185,14 +186,42 @@ def search_supergraph(g: Graph, phi, t: int, budget: SupergraphBudget | None = N
         if budget.simple_only:
             pairs = [p for p in pairs if p not in existing_pairs]
         chooser = combinations if budget.simple_only else combinations_with_replacement
+        relabelings = _fresh_relabelings(pairs, extra)
+        # a graph of treewidth <= t on n > t vertices has at most
+        # t*n - t(t+1)/2 adjacent pairs, as many as a t-tree
+        n = len(verts)
+        max_adjacent = t * n - t * (t + 1) // 2 if n > t else None
         for ke in range(budget.max_extra_edges + 1):
             eids = _fresh_ids(set(base_edges), "x", ke)
-            for combo in chooser(pairs, ke):
+            for combo in chooser(range(len(pairs)), ke):
+                # the fresh vertices are interchangeable: when renaming them
+                # maps this candidate to an earlier one, it is isomorphic to
+                # that one, which was checked already and failed
+                if any(tuple(sorted(image[i] for i in combo)) < combo
+                       for image in relabelings):
+                    continue
+                if max_adjacent is not None and len(
+                        base_adjacent.union(pairs[i] for i in combo)) > max_adjacent:
+                    continue
                 edges = dict(base_edges)
-                for eid, p in zip(eids, combo):
-                    edges[eid] = p
+                for eid, i in zip(eids, combo):
+                    edges[eid] = pairs[i]
                 cand = Graph(verts, edges)
                 # evaluate phi first: much cheaper than the treewidth DP
                 if eval_direct(phi, cand) and exact_treewidth(cand) <= t:
                     return cand
     return None
+
+
+def _fresh_relabelings(pairs, extra):
+    """For each non-identity permutation of the fresh vertices `extra`, the
+    map it induces on indices into `pairs`, which it permutes."""
+    index = {p: i for i, p in enumerate(pairs)}
+    out = []
+    for perm in permutations(extra):
+        if list(perm) == extra:
+            continue
+        rename = dict(zip(extra, perm))
+        out.append(tuple(index[frozenset(rename.get(v, v) for v in p)]
+                         for p in pairs))
+    return out
