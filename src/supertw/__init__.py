@@ -9,7 +9,7 @@ sub-decompositions, intersects with an automaton accepting exactly the
 decompositions of G, and tests emptiness.
 """
 
-from .all_decomps import build_all_decompositions, build_count_automaton
+from .all_decomps import build_all_decompositions
 from .cmso.compile import compile
 from .cmso.evaluate import eval_direct
 from .cmso.parser import parse
@@ -49,7 +49,6 @@ __all__ = [
     "Witness",
     "bag_alphabet",
     "build_all_decompositions",
-    "build_count_automaton",
     "compile",
     "decode_graph",
     "decomposition_to_json",

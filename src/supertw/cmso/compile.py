@@ -150,24 +150,14 @@ def interpreted_alphabet(t: int, xvars) -> tuple:
     return result
 
 
-_ERASE_CACHE = register_cache({})
-
-
 def _erase_map(t, xs_from, xs_to):
     """dict mapping each symbol over xs_from to its erasure onto xs_to."""
-    key = (t, xs_from, xs_to)
-    cached = _ERASE_CACHE.get(key)
-    if cached is not None:
-        return cached
     keep = set(xs_to)
-    out = {}
-    for sym in interpreted_alphabet(t, xs_from):
-        out[sym] = InterpretedBag(
-            sym.bag,
-            frozenset(p for p in sym.vflags if p[0] in keep),
-            frozenset(v for v in sym.eflags if v in keep))
-    _ERASE_CACHE[key] = out
-    return out
+    return {sym: InterpretedBag(
+                sym.bag,
+                frozenset(p for p in sym.vflags if p[0] in keep),
+                frozenset(v for v in sym.eflags if v in keep))
+            for sym in interpreted_alphabet(t, xs_from)}
 
 
 _VALIDITY_CACHE = ChargedCache("validity")
@@ -193,6 +183,8 @@ def validity_automaton(t: int, xvars, budget=None) -> TreeAutomaton:
 
 
 def _build_validity(t, xs, budget):
+    """Emits each transition once: the pop of c pairs it per symbol with
+    the partners filed before it and with c itself, once for (c, c)."""
     alphabet = interpreted_alphabet(t, xs)
     fo_v = frozenset(v for v in xs if v.kind == VarKind.VERTEX)
     fo_e = frozenset(v for v in xs if v.kind == VarKind.EDGE)
@@ -204,7 +196,7 @@ def _build_validity(t, xs, budget):
         syminfo.append((sym, sym.bag.B, sym.vflags, open_fo, new_e))
 
     states = {}
-    transitions = {}
+    transitions = []
     queue = deque()
     # per symbol index: signature (closed-after, eseen) -> child states
     buckets = [dict() for _ in syminfo]
@@ -215,10 +207,8 @@ def _build_validity(t, xs, budget):
             queue.append(st)
 
     def emit(children, sym, tgt):
-        tr = (children, sym, tgt)
-        if tr not in transitions:
-            transitions[tr] = None
-            budget.spend(1, "validity")
+        transitions.append((children, sym, tgt))
+        budget.spend(1, "validity")
 
     for sym, B, vfl, open_fo, new_e in syminfo:
         st = (B, vfl, frozenset(), new_e)
@@ -265,7 +255,8 @@ def _build_validity(t, xs, budget):
                 tgt2 = (B, vfl, both_closed, both_eseen | new_e)
                 for d in partners:
                     emit((c, d), sym, tgt2)
-                    emit((d, c), sym, tgt2)
+                    if d is not c:
+                        emit((d, c), sym, tgt2)
                 add_state(tgt2)
 
     final = []
@@ -280,8 +271,7 @@ def _build_validity(t, xs, budget):
     return trim(TreeAutomaton.raw(alphabet, states, final, transitions), budget)
 
 
-def functional_product(base, leaf_f, unary_f, binary_f, final_f, budget,
-                       stage="compile"):
+def functional_product(base, leaf_f, unary_f, binary_f, final_f, budget, stage):
     """Product of a materialized automaton with a functional one.
 
     The functional side is given by step functions returning the next
@@ -291,9 +281,9 @@ def functional_product(base, leaf_f, unary_f, binary_f, final_f, budget,
 
     Each product state is numbered when it is discovered: the result's
     states are the dense ids 0..n-1 in discovery order, not (q, m) pairs.
-    Discovery order, transition emission order, deduplication and the
-    `budget.spend` calls are those of the pairs, and `to_json` numbers
-    states by position, so the dump is the one the pairs would give.
+    Discovery order, transition order and the `budget.spend` calls are
+    those of the pairs, and `to_json` numbers states by position, so the
+    dump is the one the pairs would give.
 
     States are popped in id order. The pop of state i joins i, once per
     binary rule, with a snapshot of the partners discovered so far, and
@@ -301,17 +291,16 @@ def functional_product(base, leaf_f, unary_f, binary_f, final_f, budget,
     once per rule, with the same emissions. Say the pop of `born` found i.
     A partner popped after `born` and before i met i at its own pop; so
     did `born` if its snapshot for the rule came after it found i; and on
-    the right, so did i itself, on the left.
+    the right, so did i itself, on the left. Base transitions are distinct
+    and the steps deterministic, so each transition is appended once.
     """
-    alphabet = base.alphabet
     bidx = {q: i for i, q in enumerate(base.states)}
-    aidx = {a: i for i, a in enumerate(alphabet)}
     leaf_trans = []
     un_by_child = {}
     bin_by_left = {}   # left child -> [(right child, rule, slot)]
     bin_by_right = {}  # right child -> [(left child, rule, slot)]
     for children, sym, tgt in base.transitions:
-        rule = (sym, aidx[sym], bidx[tgt])
+        rule = (sym, bidx[tgt])
         if not children:
             leaf_trans.append(rule)
         elif len(children) == 1:
@@ -330,15 +319,14 @@ def functional_product(base, leaf_f, unary_f, binary_f, final_f, budget,
         bin_by_left[l] = [(r, rule, len(bin_by_left.get(r, ())) + slot)
                           for r, rule, slot in entries]
 
-    # base states and symbols are read as their positions in base
     ids = {}          # (base state, m) -> product state id
     discovered = {}   # base state -> [(m, id)] in discovery order
-    transitions = {}  # (children ids, symbol, target id) -> None
+    transitions = []  # (children ids, symbol, target id)
     queue = deque()   # (base state, m, id, born, seen), see the loop
     popped = -1       # the state being popped; -1 while seeding leaves
     snaps = 0         # partner snapshots taken so far by that pop
 
-    def emit(children, si, qb, m):
+    def emit(children, sym, qb, m):
         """Transition into product state (qb, m), numbering it if new."""
         st = (qb, m)
         tgt = ids.get(st)
@@ -346,28 +334,26 @@ def functional_product(base, leaf_f, unary_f, binary_f, final_f, budget,
             tgt = ids[st] = len(ids)
             discovered.setdefault(qb, []).append((m, tgt))
             queue.append((qb, m, tgt, popped, snaps))
-        tr = (children, si, tgt)
-        if tr not in transitions:
-            transitions[tr] = None
-            budget.spend(1, stage)
+        transitions.append((children, sym, tgt))
+        budget.spend(1, stage)
 
-    for sym, si, tgt in leaf_trans:
+    for sym, tgt in leaf_trans:
         m = leaf_f(sym)
         if m is None:
             continue
-        emit((), si, tgt, m)
+        emit((), sym, tgt, m)
 
     # state i was found by the pop of `born` (-1 for leaves) after `seen`
     # of its snapshots, so its snapshots from slot `seen` on held i
     while queue:
         qb, m, i, born, seen = queue.popleft()
         popped, snaps = i, 0
-        for sym, si, tgt in un_by_child.get(qb, ()):
+        for sym, tgt in un_by_child.get(qb, ()):
             m2 = unary_f(m, sym)
             if m2 is None:
                 continue
-            emit((i,), si, tgt, m2)
-        for qb2, (sym, si, tgt), slot in bin_by_left.get(qb, ()):
+            emit((i,), sym, tgt, m2)
+        for qb2, (sym, tgt), slot in bin_by_left.get(qb, ()):
             met = seen <= slot
             snaps += 1
             for m2, i2 in tuple(discovered.get(qb2, ())):
@@ -376,8 +362,8 @@ def functional_product(base, leaf_f, unary_f, binary_f, final_f, budget,
                 mm = binary_f(m, m2, sym)
                 if mm is None:
                     continue
-                emit((i, i2), si, tgt, mm)
-        for qb1, (sym, si, tgt), slot in bin_by_right.get(qb, ()):
+                emit((i, i2), sym, tgt, mm)
+        for qb1, (sym, tgt), slot in bin_by_right.get(qb, ()):
             met = seen <= slot
             snaps += 1
             for m1, i1 in tuple(discovered.get(qb1, ())):
@@ -386,12 +372,11 @@ def functional_product(base, leaf_f, unary_f, binary_f, final_f, budget,
                 mm = binary_f(m1, m, sym)
                 if mm is None:
                     continue
-                emit((i1, i), si, tgt, mm)
+                emit((i1, i), sym, tgt, mm)
 
     base_final = {bidx[q] for q in base.final}
     final = [i for (qb, m), i in ids.items() if qb in base_final and final_f(m)]
-    return TreeAutomaton.raw(alphabet, range(len(ids)), final,
-                             [(ch, alphabet[si], q) for ch, si, q in transitions])
+    return TreeAutomaton.raw(base.alphabet, range(len(ids)), final, transitions)
 
 
 class _SubsetSim:
@@ -416,7 +401,6 @@ class _SubsetSim:
         self.leaf_by_sym = {s: frozenset(v) for s, v in leaf_by_sym.items()}
         self.un = un
         self.bn = bn
-        self.ucache = {}
         self.bcache = {}
 
     def sym(self, sym):
@@ -426,18 +410,12 @@ class _SubsetSim:
         return self.leaf_by_sym.get(self.sym(sym), frozenset())
 
     def unary(self, s, sym):
-        sym = self.sym(sym)
-        key = (s, sym)
-        out = self.ucache.get(key)
-        if out is None:
-            d = self.un.get(sym)
-            acc = set()
-            if d:
-                for q in s:
-                    acc.update(d.get(q, ()))
-            out = frozenset(acc)
-            self.ucache[key] = out
-        return out
+        d = self.un.get(self.sym(sym))
+        acc = set()
+        if d:
+            for q in s:
+                acc.update(d.get(q, ()))
+        return frozenset(acc)
 
     def binary(self, s1, s2, sym):
         sym = self.sym(sym)

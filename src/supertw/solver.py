@@ -66,8 +66,8 @@ _SUB_CACHE = ChargedCache("sub")
 
 def clear_caches():
     """Empty every registered cache: the solver's formula and closure
-    automata, and the compiler's sentence, validity, alphabet and erasure
-    caches. The next solve builds everything anew."""
+    automata, and the compiler's sentence, validity and alphabet caches.
+    The next solve builds everything anew."""
     clear_registered_caches()
 
 

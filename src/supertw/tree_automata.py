@@ -55,10 +55,10 @@ class TreeAutomaton:
     def raw(cls, alphabet, states, final, transitions):
         """Trusted constructor for the automaton-building pipelines.
 
-        Skips sorting and validation: `alphabet` must already be in canonical
-        order, `states` and `transitions` duplicate-free in a deterministic
-        (construction) order. Use the regular constructor for anything
-        assembled by hand.
+        Skips sorting, validation and deduplication: `alphabet` must be in
+        canonical order, `states` and `transitions` duplicate-free (as the
+        pipeline's constructions emit them) in a deterministic order. Use
+        the regular constructor for anything assembled by hand.
         """
         self = object.__new__(cls)
         self.alphabet = tuple(alphabet)

@@ -9,7 +9,7 @@ import json
 import random
 import time
 
-from supertw.all_decomps import build_all_decompositions, build_count_automaton
+from supertw.all_decomps import build_all_decompositions
 from supertw.cmso.ast import And, Not, Or
 from supertw.cmso.compile import compile as compile_formula
 from supertw.cmso.evaluate import eval_direct
@@ -31,6 +31,7 @@ from supertw.util import Budget
 from corpus import (bull, complete, connected_small_corpus, cycle,
                           diamond, grid_2x3, multi_edge, path, paw,
                           single_vertex, star)
+from reference_decomps import build_count_automaton
 
 SOLVER_BUDGET = 10 ** 8
 

@@ -1,4 +1,5 @@
-"""The decompositions-of-G automaton and its building blocks.
+"""The decompositions-of-G automaton, its building blocks, and the
+paper's reference construction that it fuses (`reference_decomps`).
 
 Ground truths used here, all independent of the construction under test:
 decode_graph + is_isomorphic for the language of build_all_decompositions,
@@ -13,10 +14,8 @@ from itertools import permutations
 
 import pytest
 
-from supertw.all_decomps import (DecompMachine, GtBag,
-                                 build_all_decompositions,
-                                 build_count_automaton, build_gt_automaton,
-                                 is_gt_compatible, materialize)
+from supertw.all_decomps import (DecompMachine, build_all_decompositions,
+                                 materialize)
 from supertw.decomp import (TDNode, bag, bag_alphabet, decode_graph, encode,
                             labels_of, s_maximal_components)
 from supertw.errors import (InvalidBagError, NotConnectedError,
@@ -28,6 +27,8 @@ from supertw.tree_automata import (TreeAutomaton, accepts, extract_witness,
 from supertw.util import Budget
 from corpus import (complete, connected_small_corpus, cycle, multi_edge,
                     path, paw, single_vertex, star)
+from reference_decomps import (GtBag, build_count_automaton,
+                               build_gt_automaton, is_gt_compatible)
 
 K2 = path(2)
 
