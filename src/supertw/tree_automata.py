@@ -17,6 +17,8 @@ automaton; nothing reads a dump back.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heapify, heappop, heappush
+from itertools import chain
 
 from .errors import AlphabetMismatchError, UnknownSymbolError
 from .terms import Term, term
@@ -24,7 +26,10 @@ from .util import Budget, osorted
 
 
 class TreeAutomaton:
-    __slots__ = ("alphabet", "states", "final", "transitions", "_index")
+    # _index and _groups are lazily built join indexes (`_child_indexes`,
+    # `_partner_group`); they live and die with the automaton, so dropping
+    # a cached automaton (`solver.clear_caches`) frees them too
+    __slots__ = ("alphabet", "states", "final", "transitions", "_index", "_groups")
 
     def __init__(self, alphabet, states, final, transitions):
         self.alphabet = tuple(osorted(set(alphabet)))
@@ -50,6 +55,7 @@ class TreeAutomaton:
             if len(children) > 2:
                 raise ValueError("arity at most 2")
         self._index = None
+        self._groups = None
 
     @classmethod
     def raw(cls, alphabet, states, final, transitions):
@@ -66,6 +72,7 @@ class TreeAutomaton:
         self.final = frozenset(final)
         self.transitions = tuple(transitions)
         self._index = None
+        self._groups = None
         return self
 
     def size(self):
@@ -122,7 +129,8 @@ def _child_indexes(aut: TreeAutomaton):
     [target], unary {child: [target]}, binary by left child {child1:
     [transition]} and by right child {child2: [transition]}). Each list is
     in transition order, and the binary maps share the automaton's own
-    transition tuples."""
+    transition tuples. It is kept in the automaton's `_index` slot, beside
+    the lazy partner groups of `_partner_group`."""
     got = aut._index
     if got is None:
         pos = {a: i for i, a in enumerate(aut.alphabet)}
@@ -514,52 +522,156 @@ def _build_term(q, choice, memo):
     return got
 
 
+def _partner_group(aut: TreeAutomaton, side, si, c):
+    """The binary rules of symbol position si with child c on `side` (0:
+    left, 1: right), grouped by their other child: {other: (positions in
+    the rule list of `_child_indexes`)}, each ascending.
+
+    Built on first use per (side, si, c) and kept in the automaton's
+    `_groups` slot, so a long-lived automaton pays only for the groups
+    the joins against it have touched."""
+    groups = aut._groups
+    if groups is None:
+        n = len(aut.alphabet)
+        groups = aut._groups = ([{} for _ in range(n)], [{} for _ in range(n)])
+    got = groups[side][si].get(c)
+    if got is None:
+        got = {}
+        other = 1 - side
+        for k, (children, _s, _q) in enumerate(_child_indexes(aut)[3 + side][si][c]):
+            got.setdefault(children[other], []).append(k)
+        # tuples: the groups of a cached automaton live as long as it does
+        got = groups[side][si][c] = {o: tuple(ks) for o, ks in got.items()}
+    return got
+
+
 def intersection_nonempty(a: TreeAutomaton, b: TreeAutomaton,
                           budget: Budget | None = None) -> bool:
-    """Emptiness of L(a) ∩ L(b), short-circuiting on the first final pair."""
+    """Emptiness of L(a) ∩ L(b), short-circuiting on the first final pair.
+
+    Pairs (qa, qb) are numbered when discovered, with one `budget.spend`
+    per new pair, and popped in that order; each pop checks the deadline.
+    The pop of p = (pa, pb) runs every rule pair of a and b with child pa
+    and pb on the same side, in rule order (a's rule outer), and finds its
+    target pair when the other children form a known pair.
+
+    The join reads only the rules that can fire. Per a-state the known
+    b-partners are kept with their pair ids. b's rules with child pb on
+    one side are grouped by their other child (`_partner_group`, built
+    lazily and kept on b), so an a-rule with other child ca looks up the
+    groups of ca's partners and visits those b-rules in rule order. Pass
+    the long-lived operand, such as a cached closure, as b: its groups
+    serve every later join against it.
+
+    A partner pair c with born < c < p, where `born` is the pop that found
+    p, met p in both orientations at its own pop, so it is skipped; on
+    the right side born < c <= p is skipped, since the left side already
+    met p with itself. A skipped meeting would only rediscover known
+    pairs, so nothing changes.
+
+    An a-rule whose target is its own other child (qa == ca) gives ca a
+    new partner with each pair it finds, and b-rules later in the same
+    loop may join with that partner. Such a rule visits its b-rules from a
+    heap, into which the group of each new partner is merged from the
+    current rule position on. So every pair is found in the same order,
+    and the answer and the charge are the same, as with a plain scan of
+    all rule pairs that tests each pair of other children as it goes.
+    """
     _check_same_alphabet(a, b, "intersection_nonempty")
     if budget is None:
         budget = Budget()
     _, aL, aU, aB1, aB2 = _child_indexes(a)
     _, bL, bU, bB1, bB2 = _child_indexes(b)
-    pairs = set()
-    agenda = deque()
+    afin, bfin = a.final, b.final
+    partners = {}     # qa -> {qb: id of the pair (qa, qb)}, in discovery order
+    agenda = deque()  # (qa, qb, id, id of the pair whose pop found it)
+    popped = -1       # the pair being popped; -1 while seeding leaves
+    count = 0
 
-    def hit(p):
-        return p[0] in a.final and p[1] in b.final
+    def discover(qa, qb):
+        """Number (qa, qb) if new; True if it is a new final pair."""
+        nonlocal count
+        got = partners.get(qa)
+        if got is None:
+            got = partners[qa] = {}
+        elif qb in got:
+            return False
+        budget.spend(1, "intersection_nonempty")
+        got[qb] = count
+        agenda.append((qa, qb, count, popped))
+        count += 1
+        return qa in afin and qb in bfin
 
-    def discover(p):
-        if p not in pairs:
-            budget.spend(1, "intersection_nonempty")
-            pairs.add(p)
-            agenda.append(p)
-            return hit(p)
+    def join(la, lb, side, si, pb, born, hi):
+        """Run a's rules la against b's rules lb, both with the popped pair
+        (child pb of b) on `side`; partner pairs with born < id < hi are
+        skipped. True on a final pair."""
+        other = 1 - side
+        grp = None
+        for children, _s, qa in la:
+            ca = children[other]
+            part = partners.get(ca)
+            if not part:
+                continue
+            if grp is None:
+                grp = _partner_group(b, side, si, pb)
+            if len(part) < len(grp):
+                hits = [g for cb, c in part.items()
+                        if not born < c < hi and (g := grp.get(cb))]
+            else:
+                hits = [g for cb, g in grp.items()
+                        if (c := part.get(cb)) is not None and not born < c < hi]
+            if not hits:
+                continue
+            if qa == ca:
+                heap = list(chain.from_iterable(hits))
+                heapify(heap)
+                while heap:
+                    k = heappop(heap)
+                    qb = lb[k][2]
+                    fresh = qb not in part
+                    if discover(qa, qb):
+                        return True
+                    if fresh:
+                        for k2 in grp.get(qb, ()):
+                            if k2 > k:
+                                heappush(heap, k2)
+                continue
+            for k in hits[0] if len(hits) == 1 else sorted(chain.from_iterable(hits)):
+                if discover(qa, lb[k][2]):
+                    return True
         return False
 
     for la, lb in zip(aL, bL):
         for qa in la:
             for qb in lb:
-                if discover((qa, qb)):
+                if discover(qa, qb):
                     return True
 
+    nsym = len(a.alphabet)
     while agenda:
-        p = agenda.popleft()
-        pa, pb = p
-        for si in range(len(a.alphabet)):
-            for qa in aU[si].get(pa, ()):
-                for qb in bU[si].get(pb, ()):
-                    if discover((qa, qb)):
-                        return True
-            la, lb = aB1[si].get(pa, ()), bB1[si].get(pb, ())
-            for (_, ca2), _s, qa in la:
-                for (_, cb2), _s, qb in lb:
-                    if (ca2, cb2) in pairs and discover((qa, qb)):
-                        return True
-            la, lb = aB2[si].get(pa, ()), bB2[si].get(pb, ())
-            for (ca1, _), _s, qa in la:
-                for (cb1, _), _s, qb in lb:
-                    if (ca1, cb1) in pairs and discover((qa, qb)):
-                        return True
+        pa, pb, p, born = agenda.popleft()
+        popped = p
+        budget.check_time("intersection_nonempty")
+        for si in range(nsym):
+            la = aU[si].get(pa)
+            if la:
+                lb = bU[si].get(pb)
+                if lb:
+                    for qa in la:
+                        for qb in lb:
+                            if discover(qa, qb):
+                                return True
+            la = aB1[si].get(pa)
+            if la:
+                lb = bB1[si].get(pb)
+                if lb and join(la, lb, 0, si, pb, born, p):
+                    return True
+            la = aB2[si].get(pa)
+            if la:
+                lb = bB2[si].get(pb)
+                if lb and join(la, lb, 1, si, pb, born, p + 1):
+                    return True
     return False
 
 

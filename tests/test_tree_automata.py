@@ -7,8 +7,8 @@ import pytest
 from supertw.errors import (AlphabetMismatchError, ResourceExceededError,
                             UnknownSymbolError)
 from supertw.terms import enumerate_terms, map_symbols, term
-from supertw.tree_automata import (TreeAutomaton, _inhabited, accepts,
-                                   extract_witness, intersect,
+from supertw.tree_automata import (TreeAutomaton, _child_indexes, _inhabited,
+                                   accepts, extract_witness, intersect,
                                    intersection_nonempty, project,
                                    reduce_bisim, run, to_json, trim)
 from supertw.util import Budget
@@ -560,6 +560,214 @@ def test_intersect_matches_reference(seed):
         new, ref = Budget(None), Budget(None)
         assert to_json(intersect(x, y, new)) == to_json(intersect_reference(x, y, ref))
         assert new.used == ref.used
+
+
+# --- emptiness through the partner index ---------------------------------
+# `intersection_nonempty` joins through per-state partner lists and lazy
+# rule groups; the reference below is the plain scan it replaced, which
+# runs every rule pair and tests the other children's pair as it goes.
+# Both must discover the same pairs in the same order.
+
+def intersection_nonempty_reference(a, b, budget=None):
+    if budget is None:
+        budget = Budget()
+    _, aL, aU, aB1, aB2 = _child_indexes(a)
+    _, bL, bU, bB1, bB2 = _child_indexes(b)
+    pairs = set()
+    agenda = deque()
+
+    def hit(p):
+        return p[0] in a.final and p[1] in b.final
+
+    def discover(p):
+        if p not in pairs:
+            budget.spend(1, "intersection_nonempty")
+            pairs.add(p)
+            agenda.append(p)
+            return hit(p)
+        return False
+
+    for la, lb in zip(aL, bL):
+        for qa in la:
+            for qb in lb:
+                if discover((qa, qb)):
+                    return True
+
+    while agenda:
+        p = agenda.popleft()
+        pa, pb = p
+        for si in range(len(a.alphabet)):
+            for qa in aU[si].get(pa, ()):
+                for qb in bU[si].get(pb, ()):
+                    if discover((qa, qb)):
+                        return True
+            la, lb = aB1[si].get(pa, ()), bB1[si].get(pb, ())
+            for (_, ca2), _s, qa in la:
+                for (_, cb2), _s, qb in lb:
+                    if (ca2, cb2) in pairs and discover((qa, qb)):
+                        return True
+            la, lb = aB2[si].get(pa, ()), bB2[si].get(pb, ())
+            for (ca1, _), _s, qa in la:
+                for (cb1, _), _s, qb in lb:
+                    if (ca1, cb1) in pairs and discover((qa, qb)):
+                        return True
+    return False
+
+
+def feeding_automaton(seed, n_states=5):
+    """A dense raw automaton, its rules shuffled, in which many binary
+    rules target one of their own children."""
+    rng = random.Random(seed)
+    states = range(n_states)
+    trs = set()
+    for sym in AB:
+        trs.add(((), sym, rng.choice(states)))
+        for q in states:
+            if rng.random() < 0.3:
+                trs.add(((), sym, q))
+            for c in states:
+                if rng.random() < 0.15:
+                    trs.add(((c,), sym, q))
+        for c1 in states:
+            for c2 in states:
+                for q in states:
+                    if rng.random() < 0.08:
+                        trs.add(((c1, c2), sym, q))
+                if rng.random() < 0.3:
+                    trs.add(((c1, c2), sym, rng.choice((c1, c2))))
+    trs = sorted(trs)
+    rng.shuffle(trs)
+    final = [q for q in states if rng.random() < 0.3]
+    return TreeAutomaton.raw(AB, states, final, trs)
+
+
+def with_final(aut, final):
+    return TreeAutomaton.raw(aut.alphabet, aut.states, final, aut.transitions)
+
+
+def sweep(a, b, a_states=(), b_states=()):
+    """(a, b), then for each x in a_states (y in b_states) the pair with x
+    (y) as its only final state and every state of the other operand
+    final: there the charge is the position at which x (y) first shows
+    up in a pair, so the runs pin the discovery order."""
+    a_all, b_all = with_final(a, a.states), with_final(b, b.states)
+    return ([(a, b)] + [(with_final(a, [x]), b_all) for x in a_states]
+            + [(a_all, with_final(b, [y])) for y in b_states])
+
+
+def same_as_reference(runs):
+    """(answer, charge) of each run, asserted equal for both joins."""
+    out = []
+    for a, b in runs:
+        new, ref = Budget(None), Budget(None)
+        got = intersection_nonempty(a, b, new), new.used
+        assert got == (intersection_nonempty_reference(a, b, ref), ref.used)
+        out.append(got)
+    return out
+
+
+def feeding_pair(case):
+    """Case 0..23: two feeding automata; 24..29: two plain random ones."""
+    if case < 24:
+        return (feeding_automaton(case),
+                feeding_automaton(case + 1000, n_states=4 + case % 3))
+    return random_automaton(case), random_automaton(case + 17)
+
+
+@pytest.mark.parametrize("case", range(30))
+def test_intersection_nonempty_matches_reference(case):
+    a, b = feeding_pair(case)
+    same_as_reference(sweep(a, b, a.states, b.states))
+    same_as_reference(sweep(b, a, b.states, a.states))
+
+
+def test_intersection_nonempty_meets_the_pair_that_found_it():
+    """The pop of (x, y) finds (u, v) through "u" only after its "b" rules
+    ran, so the pop of (u, v) must still meet (x, y), though it found it."""
+    a = make_automaton(["a", "b", "u"], ["z"], [((), "a", "x"), (("x",), "u", "u"),
+                                               (("u", "x"), "b", "z")])
+    b = make_automaton(["a", "b", "u"], ["w"], [((), "a", "y"), (("y",), "u", "v"),
+                                               (("v", "y"), "b", "w")])
+    for join in (intersection_nonempty, intersection_nonempty_reference):
+        budget = Budget(None)
+        assert join(a, b, budget)
+        assert budget.used == 3
+
+
+def test_intersection_nonempty_checks_the_deadline_per_pop():
+    class CountingBudget(Budget):
+        def __init__(self):
+            super().__init__(None)
+            self.checks = []
+
+        def check_time(self, stage):
+            self.checks.append(stage)
+            super().check_time(stage)
+
+    for seed in range(6):
+        a = with_final(feeding_automaton(seed), [])
+        b = feeding_automaton(seed + 1000)
+        budget = CountingBudget()
+        assert not intersection_nonempty(a, b, budget)
+        # every discovered pair is popped once, and each pop checks once
+        assert budget.used > 0
+        assert budget.checks == ["intersection_nonempty"] * budget.used
+    with pytest.raises(ResourceExceededError) as err:
+        intersection_nonempty(a, b, Budget(None, timeout_secs=-1))
+    assert err.value.stage == "intersection_nonempty"
+
+
+def budget_error(join, a, b, limit):
+    with pytest.raises(ResourceExceededError) as err:
+        join(a, b, Budget(limit))
+    return err.value.stage, err.value.count
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_intersection_nonempty_budget_matches_reference(seed):
+    a = with_final(feeding_automaton(seed), [])
+    b = feeding_automaton(seed + 1000)
+    used = Budget(None)
+    intersection_nonempty(a, b, used)
+    for limit in (0, used.used // 2, used.used - 1):
+        assert (budget_error(intersection_nonempty, a, b, limit)
+                == budget_error(intersection_nonempty_reference, a, b, limit)
+                == ("intersection_nonempty", limit + 1))
+
+
+@pytest.fixture(scope="module")
+def warm_decide_triples():
+    """A_G of C4, paw and P4x2 at 3 labels, each with the sub-closure the
+    `warm_decide` benchmark workload decides it against."""
+    from supertw import solver
+    from supertw.all_decomps import build_all_decompositions
+    from supertw.cmso.parser import parse
+    from supertw.graph import Graph
+
+    vc = solver.preset_formula({"vertex_cover": 1})
+    niv = parse("forall v x. exists e y. inc(x, y)")
+    shapes = {"C4": [(0, 1), (1, 2), (2, 3), (0, 3)],
+              "paw": [(0, 1), (1, 2), (0, 2), (2, 3)],
+              "P4x2": [(0, 1), (0, 1), (1, 2), (2, 3)]}
+    out = []
+    for shape, phi, simple in (("C4", vc, True), ("paw", niv, False),
+                               ("P4x2", vc, True)):
+        g = Graph(range(4), {f"e{i}": e for i, e in enumerate(shapes[shape])})
+        sub, _ = solver._sub_automaton(phi, 3, simple, False, Budget(None))
+        out.append((shape, build_all_decompositions(g, 3), sub))
+    return out
+
+
+def test_intersection_nonempty_matches_reference_on_warm_decide(warm_decide_triples):
+    answers = {}
+    for shape, a_g, sub in warm_decide_triples:
+        step = len(a_g.states) // 4
+        (answer, used), *_ = same_as_reference(sweep(a_g, sub, a_g.states[step::step][:3]))
+        answers[shape] = answer
+        assert (budget_error(intersection_nonempty, a_g, sub, used // 2)
+                == budget_error(intersection_nonempty_reference, a_g, sub, used // 2)
+                == ("intersection_nonempty", used // 2 + 1))
+    assert answers == {"C4": False, "paw": True, "P4x2": False}
 
 
 def test_witness_deterministic_tie_break():
