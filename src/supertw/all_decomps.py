@@ -221,8 +221,14 @@ class _PairIndex:
         return sorted(chain.from_iterable(memo[1]))
 
 
-def materialize(machine: DecompMachine, budget: Budget | None = None) -> TreeAutomaton:
-    """The reachable part of a DecompMachine, unreduced.
+def materialize(machine: DecompMachine, budget: Budget | None = None):
+    """The reachable part of a DecompMachine, unreduced, and its machine
+    states: (automaton, the states in discovery order).
+
+    The automaton's states are the ids 0..n-1 of the machine states in
+    discovery order, the order `to_json` numbers them by; its transitions
+    and final states carry those ids, and its symbols are the machine
+    alphabet's own objects.
 
     Bottom-up reachability: expanding state q steps it alone under every
     symbol and pairs it, both ways round, with each state expanded so far
@@ -238,19 +244,20 @@ def materialize(machine: DecompMachine, budget: Budget | None = None) -> TreeAut
     stepping every ordered pair under every symbol one at a time.
     """
     budget = budget or Budget()
-    known: dict = {}
-    order: list = []
+    known: dict = {}  # machine state -> id
+    order: list = []  # id -> machine state
     transitions: list = []
 
     # Each (children, symbol) is discovered once and its targets are
     # distinct, so every transition is new: no duplicate check is needed.
     def discover(children, sym, targets):
         for q in targets:
-            transitions.append((children, sym, q))
-            budget.spend(1, "decompositions-of-g")
-            if q not in known:
-                known[q] = None
+            i = known.get(q)
+            if i is None:
+                i = known[q] = len(order)
                 order.append(q)
+            transitions.append((children, sym, i))
+            budget.spend(1, "decompositions-of-g")
 
     # each symbol with its bag set and its position among that set's symbols
     slots = [(sym, sym.B, machine.bag_sets[sym.B].index(sym))
@@ -272,22 +279,23 @@ def materialize(machine: DecompMachine, budget: Budget | None = None) -> TreeAut
                 continue
             partners = []
             for i in index.add(key, frontier):
-                other = order[i]
-                lists = machine.step_bag_set((q, other), B)
+                lists = machine.step_bag_set((q, order[i]), B)
                 if any(lists):
-                    partners.append((other, lists))
+                    partners.append((i, lists))
             pairs[B] = partners
-        frontier += 1
         for sym, B, j in slots:
-            discover((q,), sym, alone[B][j])
-            for other, lists in pairs[B]:
+            discover((frontier,), sym, alone[B][j])
+            for i, lists in pairs[B]:
                 targets = lists[j]
-                discover((q, other), sym, targets)
-                if other is not q:
-                    discover((other, q), sym, targets)
+                discover((frontier, i), sym, targets)
+                if i != frontier:
+                    discover((i, frontier), sym, targets)
+        frontier += 1
 
-    final = [q for q in order if machine.is_final(q)]
-    return TreeAutomaton.raw(machine.alphabet, order, final, transitions)
+    final = [i for i, q in enumerate(order) if machine.is_final(q)]
+    aut = TreeAutomaton.raw(machine.alphabet, range(len(order)), final,
+                            transitions)
+    return aut, order
 
 
 def build_all_decompositions(g: Graph, t: int, budget: Budget | None = None) -> TreeAutomaton:
@@ -295,8 +303,10 @@ def build_all_decompositions(g: Graph, t: int, budget: Budget | None = None) -> 
 
     Materializes the DecompMachine (see `materialize`, which skips the
     child pairs the step rejects by pair key) and reduces the result;
-    accepted terms decode to graphs isomorphic to g.
+    accepted terms decode to graphs isomorphic to g. The states are ints,
+    0..n-1 in the order `to_json` numbers them, and the symbols are the
+    objects of the machine's alphabet, `bag_alphabet(t)` in canonical order.
     """
     budget = budget or Budget()
-    aut = materialize(DecompMachine(g, t), budget)
+    aut, _ = materialize(DecompMachine(g, t), budget)
     return reduce_bisim(trim(aut, budget), budget)

@@ -389,10 +389,15 @@ def test_pairing_index_matches_all_pairs(t, max_vertices):
             continue
         ref_budget, new_budget = Budget(None), Budget(None)
         order, final, transitions = all_pairs_reference(g, t, ref_budget)
-        aut = materialize(DecompMachine(g, t), new_budget)
-        assert list(aut.states) == order, name
-        assert aut.final == frozenset(final), name
-        assert list(aut.transitions) == transitions, name
+        aut, states = materialize(DecompMachine(g, t), new_budget)
+        assert states == order, name
+        # the automaton numbers each state by its discovery position
+        at = {q: i for i, q in enumerate(order)}
+        assert aut.states == tuple(range(len(order))), name
+        assert aut.final == frozenset(at[q] for q in final), name
+        assert list(aut.transitions) == [
+            (tuple(at[c] for c in ch), sym, at[q])
+            for ch, sym, q in transitions], name
         assert new_budget.used == ref_budget.used == len(transitions), name
 
 
@@ -413,7 +418,7 @@ def test_bag_set_step_matches_reference_in_both_orders(t, max_vertices):
 
         assert [sym for syms in machine.bag_sets.values()
                 for sym in syms] == list(machine.alphabet)
-        states = materialize(machine, Budget(None)).states
+        _, states = materialize(machine, Budget(None))
         for B in machine.bag_sets:
             stepped((), B)
             for i, q in enumerate(states):
