@@ -343,64 +343,89 @@ def trim(aut: TreeAutomaton, budget: Budget | None = None) -> TreeAutomaton:
 def _refine(n, sig_of, budget=None):
     """Partition refinement of states 0..n-1, starting from one block:
     split blocks by sig_of(current blocks, their count) until stable.
-    Block ids are dense ints in first-seen state order. With a budget,
-    its deadline is checked once per round."""
+    Block ids are dense ints in first-seen state order.
+
+    A discrete partition (n blocks) cannot split, so it is returned
+    without a further round; in first-seen order it is the identity. Any
+    other partition is returned after one round that splits nothing. Each
+    round's signatures are dropped before the next sig_of call, so one
+    round's are alive at a time. With a budget, its deadline is checked
+    before every round and before the discrete test, so at least once
+    even for 0 or 1 states."""
     block = [0] * n
     nblocks = 1 if n else 0
     while True:
         if budget is not None:
             budget.check_time("reduce_bisim")
+        if nblocks == n:
+            return block, nblocks
         sigs = sig_of(block, nblocks)
         remap: dict = {}
-        newblock = [remap.setdefault((block[i], sigs[i]), len(remap))
-                    for i in range(n)]
-        if len(remap) == nblocks:
+        newblock = [remap.setdefault(key, len(remap)) for key in zip(block, sigs)]
+        count = len(remap)
+        sigs = remap = None
+        if count == nblocks:
             return newblock, nblocks
-        block, nblocks = newblock, len(remap)
+        block, nblocks = newblock, count
 
 
 def _by_arity(trs):
-    """Split int transitions into leaf (target, symbol), unary (child,
-    symbol, target) and binary (left, right, symbol, target) lists."""
-    leaves, unary, binary = [], [], []
+    """Split int transitions (children, symbol, target) into parallel int
+    columns: leaf (targets, symbols), unary (children, symbols, targets)
+    and binary (lefts, rights, symbols, targets)."""
+    lq, ls, uc, us, uq, bl, br, bs, bq = ([] for _ in range(9))
     for ch, sy, q in trs:
         if not ch:
-            leaves.append((q, sy))
+            lq.append(q)
+            ls.append(sy)
         elif len(ch) == 1:
-            unary.append((ch[0], sy, q))
+            uc.append(ch[0])
+            us.append(sy)
+            uq.append(q)
         else:
-            binary.append((ch[0], ch[1], sy, q))
-    return leaves, unary, binary
+            bl.append(ch[0])
+            br.append(ch[1])
+            bs.append(sy)
+            bq.append(q)
+    return (lq, ls), (uc, us, uq), (bl, br, bs, bq)
 
 
-def _backward_sigs(n, fin, leaves, unary, binary):
+def _frozen(sigs):
+    """Replace each per-state list by its frozenset, one at a time, so the
+    lists and the sets of a round are never all alive together."""
+    for i, s in enumerate(sigs):
+        sigs[i] = frozenset(s)
+    return sigs
+
+
+def _backward_sigs(n, leaves, unary, binary):
     """Signature of state q: the rules into q, children read as blocks.
     Keys: ~symbol for a leaf rule, even for unary, odd for binary rules.
     Finality does not enter it."""
     def sig_of(block, nb):
         sigs = [[] for _ in range(n)]
-        for q, sy in leaves:
+        for q, sy in zip(*leaves):
             sigs[q].append(~sy)
-        for c, sy, q in unary:
+        for c, sy, q in zip(*unary):
             sigs[q].append(2 * (sy * nb + block[c]))
-        for l, r, sy, q in binary:
+        for l, r, sy, q in zip(*binary):
             sigs[q].append(2 * ((sy * nb + block[l]) * nb + block[r]) + 1)
-        return [frozenset(s) for s in sigs]
+        return _frozen(sigs)
     return sig_of
 
 
-def _forward_sigs(n, fin, leaves, unary, binary):
+def _forward_sigs(n, fin, unary, binary):
     """Signature of state c: its finality (key -1) and the rules reading c,
     as (symbol, position, concrete sibling or none, target block)."""
     def sig_of(block, nb):
         sigs = [[-1] if i in fin else [] for i in range(n)]
-        for c, sy, q in unary:
+        for c, sy, q in zip(*unary):
             sigs[c].append(2 * sy * (n + 1) * nb + block[q])
-        for l, r, sy, q in binary:
+        for l, r, sy, q in zip(*binary):
             bq = block[q]
             sigs[l].append((2 * sy * (n + 1) + r + 1) * nb + bq)
             sigs[r].append(((2 * sy + 1) * (n + 1) + l + 1) * nb + bq)
-        return [frozenset(s) for s in sigs]
+        return _frozen(sigs)
     return sig_of
 
 
@@ -417,42 +442,53 @@ def reduce_bisim(aut: TreeAutomaton, budget: Budget | None = None) -> TreeAutoma
     using the other into an equivalent target.
 
     States and symbols are encoded once as their positions, refinement
-    runs on per-arity int lists, and the result is decoded once. A pass
-    that merges something quotients the int transitions: they are
-    deduplicated in first-occurrence order and the blocks numbered in
-    first-seen state order. The result's states are therefore 0..n-1 in
-    the order `to_json` numbers them, and its dump does not depend on how
-    the input's states are encoded. When nothing merges, the result is
-    the input relabelled by position: the input itself if its states
-    already are 0..n-1. With a budget, its deadline is checked once per
-    refinement round."""
+    runs on per-arity int columns (`_refine`: it stops at a discrete
+    partition and keeps one round of signatures alive), and the result is
+    decoded once. A pass that merges something quotients the int
+    transitions: they are deduplicated in first-occurrence order and the
+    blocks numbered in first-seen state order. The result's states are
+    therefore 0..n-1 in the order `to_json` numbers them, and its dump
+    does not depend on how the input's states are encoded. An input whose
+    states already are 0..n-1 is read in place, and its int transition
+    list is built only if a pass merges; when nothing merges, the result
+    is the input itself. Any other input is relabelled by position. With a
+    budget, its deadline is checked once per refinement round and at
+    least once per call."""
     states, alphabet = aut.states, aut.alphabet
     n = len(states)
     dense = states == tuple(range(n))
     aidx = {a: i for i, a in enumerate(alphabet)}
     if dense:
-        trs = [(ch, aidx[sym], q) for ch, sym, q in aut.transitions]
+        trs = None
         fin = set(aut.final)
     else:
         sidx = {s: i for i, s in enumerate(states)}
         trs = [(tuple([sidx[c] for c in ch]), aidx[sym], sidx[q])
                for ch, sym, q in aut.transitions]
         fin = {sidx[q] for q in aut.final}
-    arity = _by_arity(trs)
+
+    def int_trs():
+        if trs is None:
+            return ((ch, aidx[sym], q) for ch, sym, q in aut.transitions)
+        return trs
+
+    leaves, unary, binary = _by_arity(int_trs())
     merged = False
     while True:
         before = n
-        for make_sigs in (_backward_sigs, _forward_sigs):
-            block, nb = _refine(n, make_sigs(n, fin, *arity), budget)
+        for backward in (True, False):
+            sig_of = (_backward_sigs(n, leaves, unary, binary) if backward
+                      else _forward_sigs(n, fin, unary, binary))
+            block, nb = _refine(n, sig_of, budget)
             if nb == n:
                 continue
             trs = list(dict.fromkeys(
                 (ch if not ch else (block[ch[0]],) if len(ch) == 1
                  else (block[ch[0]], block[ch[1]]), sy, block[q])
-                for ch, sy, q in trs))
+                for ch, sy, q in int_trs()))
             fin = {block[q] for q in fin}
             n = nb
-            arity = _by_arity(trs)
+            leaves, unary, binary = _by_arity(trs)
             merged = True
         if n == before:
             break

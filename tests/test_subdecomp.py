@@ -12,6 +12,7 @@ dump, charge for charge.
 import hashlib
 import json
 import random
+import tracemalloc
 from collections import deque
 from itertools import combinations
 
@@ -26,7 +27,7 @@ from supertw.errors import AlphabetMismatchError, ResourceExceededError
 from supertw.subdecomp import (PairBag, _bag_arity_t, pair_alphabet,
                                sub_closure, sub_closure_paired)
 from supertw.terms import enumerate_terms, map_symbols, term
-from supertw.tree_automata import TreeAutomaton, accepts, to_json
+from supertw.tree_automata import TreeAutomaton, accepts, reduce_bisim, to_json
 from supertw.util import Budget
 from corpus import make_automaton, path
 
@@ -387,3 +388,20 @@ def test_closure_pinned(name, paired):
     charge, digest = CLOSURE_PINS[name, paired]
     assert budget.used == charge
     assert hashlib.sha256(dump(closed).encode()).hexdigest() == digest
+
+
+def test_closure_reduction_returns_it_in_bounded_memory():
+    # the vertex_cover=1 closure at 3 labels merges nothing: reduce_bisim
+    # returns it as it is, holding one refinement round's signatures at a
+    # time (about 16 MB; two rounds and the tuple per transition took 40)
+    phi = solver.preset_formula({"vertex_cover": 1})
+    aut, _ = solver._phi_automaton(phi, 3, True, Budget(None))
+    closed = sub_closure(aut, Budget(None))
+    tracemalloc.start()
+    try:
+        same = reduce_bisim(closed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same is closed
+    assert peak < 24 * 2 ** 20

@@ -8,7 +8,7 @@ from supertw.errors import (AlphabetMismatchError, ResourceExceededError,
                             UnknownSymbolError)
 from supertw.terms import enumerate_terms, map_symbols, term
 from supertw.tree_automata import (TreeAutomaton, _child_indexes, _inhabited,
-                                   accepts, extract_witness, intersect,
+                                   _refine, accepts, extract_witness, intersect,
                                    intersection_nonempty, project,
                                    reduce_bisim, run, to_json, trim)
 from supertw.util import Budget
@@ -172,6 +172,44 @@ def test_trim_and_reduce_check_the_deadline(seed):
         live = Budget(None, timeout_secs=3600)
         assert to_json(op(a, live)) == to_json(op(a))
         assert live.used == 0
+
+
+def test_reduce_bisim_checks_the_deadline_on_tiny_automata():
+    # with 0 or 1 states the partition is discrete before any round runs
+    one = TreeAutomaton.raw(AB, range(1), [0], [((), "a", 0), ((0,), "b", 0)])
+    none = TreeAutomaton.raw(AB, range(0), [], [])
+    for a in (one, none):
+        with pytest.raises(ResourceExceededError) as err:
+            reduce_bisim(a, Budget(None, timeout_secs=-1))
+        assert err.value.stage == "reduce_bisim"
+        assert reduce_bisim(a, Budget(None, timeout_secs=3600)) is a
+
+
+def counting(sig):
+    """sig_of for `_refine` that counts its calls in `.calls`."""
+    def sig_of(block, nb):
+        sig_of.calls += 1
+        return sig(block, nb)
+    sig_of.calls = 0
+    return sig_of
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_refine_stops_at_a_discrete_partition(n):
+    # a path read towards its end: state i's signature is the block of
+    # i + 1, so each round splits one more state off and singletons come
+    # after n - 1 rounds, with no round to confirm them
+    sig_of = counting(lambda block, nb: block[1:] + [-1])
+    assert _refine(n, sig_of) == (list(range(n)), n)
+    assert sig_of.calls == max(n - 1, 0)
+
+
+def test_refine_confirms_a_partition_with_fewer_blocks():
+    # parity splits 6 states into 2 blocks in the first round; the second
+    # round splits nothing and ends the refinement
+    sig_of = counting(lambda block, nb: [i % 2 for i in range(6)])
+    assert _refine(6, sig_of) == ([0, 1, 0, 1, 0, 1], 2)
+    assert sig_of.calls == 2
 
 
 @pytest.mark.parametrize("seed", range(4))
