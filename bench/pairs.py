@@ -8,11 +8,15 @@ runs each checkout's own `perfbench/run.py --trace 0` once, alternating
 which side goes first, and reads its end-to-end metrics from the last
 stdout line and its per-solve records from `perfbench/out/`. The entry
 for the workload in `--out` is replaced (other workloads in the file are
-kept). It holds, per seed, both sides' metrics and whether every
-instance's answer, charge and witness SHA-256 agree; per metric, both
-medians, the parent's quartile spread, and the number of pairs the
-change wins; each side's total of failed operations over all pairs; and
-each checkout's `src` line count.
+kept). It holds, per seed, both sides' metrics, their per-instance
+median solve times and slowest instance (from the `notes` of the
+`perfbench/out` record, each instance labelled `formula/shape`), and
+whether every instance's answer, charge and witness SHA-256 agree; per
+metric, both medians, the parent's quartile spread, and the number of
+pairs the change wins; per instance label (`instance_summary`), both
+sides' median across pairs and the pairs the change wins; each side's
+total of failed operations over all pairs; and each checkout's `src`
+line count.
 """
 
 from __future__ import annotations
@@ -24,11 +28,13 @@ import platform
 import statistics
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 
 def run_side(checkout, workload, seed, seconds):
-    """One `perfbench/run.py` run in `checkout`: (result line, solve records)."""
+    """One `perfbench/run.py` run in `checkout`: (result line, solve
+    records, per-instance medians and slowest instance by label)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     got = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -42,7 +48,19 @@ def run_side(checkout, workload, seed, seconds):
     solves = sorted({(r["id"], r["answer"], r["charged"], r["digest"])
                      for s in record["solves"] for r in s["records"]},
                     key=repr)
-    return result, solves
+    labels = instance_labels(record["instances"])
+    notes = record["notes"]
+    per_instance = {"instance_medians": {labels[i]: m for i, m
+                                         in sorted(notes["instance_medians"].items())},
+                    "tail_instance": labels.get(notes["tail_instance"])}
+    return result, solves, per_instance
+
+
+def instance_labels(instances):
+    """Instance id -> `formula/shape`, with the id added where a label repeats."""
+    labels = {i["id"]: f"{i['formula']}/{i['shape']}" for i in instances}
+    counts = Counter(labels.values())
+    return {i: f"{lab} ({i})" if counts[lab] > 1 else lab for i, lab in labels.items()}
 
 
 def src_lines(checkout):
@@ -72,6 +90,21 @@ def summarize(pairs, better):
     return out
 
 
+def summarize_instances(pairs):
+    """Per instance label: both sides' median solve time across the pairs
+    that ran it, and the pairs the change wins (lower is better)."""
+    out = {}
+    labels = sorted({lab for p in pairs for lab in p["parent"]["instance_medians"]})
+    for lab in labels:
+        both = [(p["parent"]["instance_medians"][lab], p["change"]["instance_medians"][lab])
+                for p in pairs if lab in p["parent"]["instance_medians"]
+                and lab in p["change"]["instance_medians"]]
+        out[lab] = {"parent_median": statistics.median(p for p, _ in both),
+                    "change_median": statistics.median(c for _, c in both),
+                    "change_wins": sum(c < p for p, c in both), "pairs": len(both)}
+    return out
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", help="source checkout of the parent commit")
@@ -90,11 +123,12 @@ def main(argv=None):
         pair = {"seed": seed, "first": sides[0]}
         solves = {}
         for side in sides:
-            result, solves[side] = run_side(getattr(args, side), args.workload,
-                                            seed, args.seconds)
+            result, solves[side], per_instance = run_side(
+                getattr(args, side), args.workload, seed, args.seconds)
             pair[side] = {name: m["value"] for name, m in result["metrics"].items()}
             pair[side]["failed"] = result["failed"]
             pair[side]["correct"] = result["correct"]
+            pair[side].update(per_instance)
         pair["solves_identical"] = solves["parent"] == solves["change"]
         pairs.append(pair)
         print(json.dumps(pair), flush=True)
@@ -105,7 +139,8 @@ def main(argv=None):
         "seconds": args.seconds, "pairs": pairs,
         "failed": {side: sum(p[side]["failed"] for p in pairs)
                    for side in ("parent", "change")},
-        "summary": summarize(pairs, better)}
+        "summary": summarize(pairs, better),
+        "instance_summary": summarize_instances(pairs)}
     doc["src_lines"] = {"parent": src_lines(args.parent),
                         "change": src_lines(args.change)}
     doc["host"] = {"python": platform.python_version(), "nproc": os.cpu_count()}

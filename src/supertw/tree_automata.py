@@ -159,82 +159,168 @@ def intersect(a: TreeAutomaton, b: TreeAutomaton, budget: Budget | None = None):
     states are the dense ids 0..n-1 in discovery order, not the pairs;
     `to_json` numbers states by position, so the dump is the one the pair
     states would give. Transitions come out in emission order, with one
-    `budget.spend` per new transition.
+    `budget.spend` per transition, appended once as (children, symbol,
+    target).
 
-    States are popped in id order, and the pop of p joins p with every
-    partner discovered so far, so a pair can meet at both pops. The
-    second meeting would emit nothing new and is skipped: each pair meets
-    once per rule pair. Say the pop of `born` found p. A partner c with
-    born < c < p met p at its own pop; on the right, so did p itself, on
-    the left. `born` met p if p was found before their rule pair came up
-    in that pop, that is, if the rule pair's transition is already out.
+    States are popped in id order. The pop of p = (pa, pb) runs every
+    rule pair of a and b with child pa and pb on the same side, in rule
+    order (a's rule outer), and makes a transition when the other
+    children form a known pair: the partner c.
+
+    The join reads only the rules that can fire, as in
+    `intersection_nonempty`. Per a-state the known b-partners are kept
+    with their pair ids. b's rules with child pb on one side are grouped
+    by their other child (`_partner_group`, built lazily and kept on b),
+    so an a-rule with other child ca looks up the groups of ca's partners
+    and visits those b-rules in rule order. Pass the long-lived operand,
+    such as a cached closure, as b.
+
+    A pair can meet p at both pops. Say the pop of `born` found p. A
+    partner c with born < c < p met p at its own pop, so it is skipped; on
+    the right side born < c <= p is skipped, since the left side already
+    met p with itself. `born` met p if p was found before their rule pair
+    came up in that pop: each pop keeps, per partner it found itself, the
+    transitions it made with it, and the partner's pop skips those.
+
+    An a-rule whose target is its own other child (qa == ca) gives ca a
+    new partner with each pair it finds, and b-rules later in the same
+    loop may join with that partner. Such a rule visits its b-rules from a
+    heap, into which the group of each new partner is merged from the
+    current rule position on. So every transition comes out in the same
+    order as with a plain scan of all rule pairs that tests each pair of
+    other children as it goes.
     """
     _check_same_alphabet(a, b, "intersect")
     if budget is None:
         budget = Budget()
     _, aL, aU, aB1, aB2 = _child_indexes(a)
     _, bL, bU, bB1, bB2 = _child_indexes(b)
-    nsym = len(a.alphabet)
+    alphabet = a.alphabet
+    spend = budget.spend
+    partners = {}  # qa -> {qb: id of the pair (qa, qb)}, in discovery order
+    pairs = []     # id -> (qa, qb, id of the pair whose pop found it)
+    trs = []       # (children ids, symbol, target id), in emission order
+    met = {}       # id c -> {(children, si, target)} its finder's pop made with c
 
-    ids = {}          # (qa, qb) -> product state id
-    agenda = deque()  # (qa, qb, id, id of the state whose pop found it)
-    out = {}          # (children ids, symbol position, target id) -> None
-    popped = -1       # the state being popped; -1 while seeding leaves
+    def targets(qa):
+        """qa's known partners, kept live in `partners`."""
+        got = partners.get(qa)
+        if got is None:
+            got = partners[qa] = {}
+        return got
 
-    def emit(children, si, qa, qb):
-        """Transition into the pair (qa, qb), numbering it if new."""
-        p = (qa, qb)
-        target = ids.get(p)
-        if target is None:
-            target = ids[p] = len(ids)
-            agenda.append((qa, qb, target, popped))
-        tr = (children, si, target)
-        if tr not in out:
-            out[tr] = None
-            budget.spend(1, "intersect")
+    def number(tq, qa, qb, born):
+        """Number the new pair (qa, qb), found by the pop of `born`."""
+        t = tq[qb] = len(pairs)
+        pairs.append((qa, qb, born))
+        return t
 
-    for si in range(nsym):
-        for qa in aL[si]:
-            for qb in bL[si]:
-                emit((), si, qa, qb)
+    def join(la, lb, side, si, p, pb, born, hi, start, seen):
+        """Run a's rules la against b's rules lb, both with the popped pair
+        p (child pb of b) on `side`; partner pairs with born < id < hi are
+        skipped, and so are the transitions with partner `born` in `seen`.
+        Transitions with a partner of id >= start are kept in `met`."""
+        other = 1 - side
+        sym = alphabet[si]
+        grp = None
+        for children, _s, qa in la:
+            ca = children[other]
+            part = partners.get(ca)
+            if not part:
+                continue
+            if grp is None:
+                grp = _partner_group(b, side, si, pb)
+            if len(part) < len(grp):
+                hits = [g for cb, c in part.items()
+                        if not born < c < hi and (g := grp.get(cb))]
+            else:
+                hits = [g for cb, g in grp.items()
+                        if (c := part.get(cb)) is not None and not born < c < hi]
+            if not hits:
+                continue
+            tq = targets(qa)
+            if qa == ca:
+                heap = list(chain.from_iterable(hits))
+                heapify(heap)
+                order = _drain(heap)
+            elif len(hits) == 1:
+                order = hits[0]
+            else:
+                order = sorted(chain.from_iterable(hits))
+            for k in order:
+                cch, _s, qb = lb[k]
+                c = part[cch[other]]
+                ch = (c, p) if side else (p, c)
+                t = tq.get(qb)
+                if t is None:
+                    t = number(tq, qa, qb, p)
+                    if qa == ca:
+                        for k2 in grp.get(qb, ()):
+                            if k2 > k:
+                                heappush(heap, k2)
+                elif c == born and seen and (ch, si, t) in seen:
+                    continue
+                trs.append((ch, sym, t))
+                spend(1, "intersect")
+                if c >= start:
+                    got = met.get(c)
+                    if got is None:
+                        got = met[c] = set()
+                    got.add((ch, si, t))
 
-    while agenda:
-        pa, pb, p, born = agenda.popleft()
-        popped = p
+    for si, (la, lb) in enumerate(zip(aL, bL)):
+        sym = alphabet[si]
+        for qa in la:
+            tq = targets(qa)
+            for qb in lb:
+                t = tq.get(qb)
+                if t is None:
+                    t = number(tq, qa, qb, -1)
+                trs.append(((), sym, t))
+                spend(1, "intersect")
+
+    nsym = len(alphabet)
+    p = 0
+    while p < len(pairs):
+        pa, pb, born = pairs[p]
+        start = len(pairs)
+        seen = met.pop(p, None)
         for si in range(nsym):
             la = aU[si].get(pa)
-            lb = bU[si].get(pb)
-            if la and lb:
-                for qa in la:
-                    for qb in lb:
-                        emit((p,), si, qa, qb)
+            if la:
+                lb = bU[si].get(pb)
+                if lb:
+                    sym = alphabet[si]
+                    ch = (p,)
+                    for qa in la:
+                        tq = targets(qa)
+                        for qb in lb:
+                            t = tq.get(qb)
+                            if t is None:
+                                t = number(tq, qa, qb, p)
+                            trs.append((ch, sym, t))
+                            spend(1, "intersect")
             la = aB1[si].get(pa)
-            lb = bB1[si].get(pb)
-            if la and lb:
-                for (_, ca2), _s, qa in la:
-                    for (_, cb2), _s, qb in lb:
-                        c = ids.get((ca2, cb2))
-                        if c is None or born < c < p:
-                            continue
-                        if c == born and ((p, c), si, ids.get((qa, qb))) in out:
-                            continue
-                        emit((p, c), si, qa, qb)
+            if la:
+                lb = bB1[si].get(pb)
+                if lb:
+                    join(la, lb, 0, si, p, pb, born, p, start, seen)
             la = aB2[si].get(pa)
-            lb = bB2[si].get(pb)
-            if la and lb:
-                for (ca1, _), _s, qa in la:
-                    for (cb1, _), _s, qb in lb:
-                        c = ids.get((ca1, cb1))
-                        if c is None or born < c <= p:
-                            continue
-                        if c == born and ((c, p), si, ids.get((qa, qb))) in out:
-                            continue
-                        emit((c, p), si, qa, qb)
+            if la:
+                lb = bB2[si].get(pb)
+                if lb:
+                    join(la, lb, 1, si, p, pb, born, p + 1, start, seen)
+        p += 1
 
-    final = [i for (qa, qb), i in ids.items() if qa in a.final and qb in b.final]
-    alphabet = a.alphabet
-    trs = [(ch, alphabet[si], q) for ch, si, q in out]
-    return TreeAutomaton.raw(alphabet, range(len(ids)), final, trs)
+    afin, bfin = a.final, b.final
+    final = [i for i, (qa, qb, _) in enumerate(pairs) if qa in afin and qb in bfin]
+    return TreeAutomaton.raw(alphabet, range(len(pairs)), final, trs)
+
+
+def _drain(heap):
+    """Pop `heap` until it is empty, taking pushes made in between."""
+    while heap:
+        yield heappop(heap)
 
 
 def project(a: TreeAutomaton, f, alphabet=None):

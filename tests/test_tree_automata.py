@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from collections import deque
@@ -589,15 +590,25 @@ def test_kernels_when_nothing_is_dropped_or_merged(encoding):
         assert len(reduce_bisim(a).states) == len(a.states)
 
 
+# `intersect` appends each transition once, with no dedup pass: a pair met
+# twice would show up as a duplicate transition
+def same_product(a, b):
+    """intersect(a, b), asserted equal to the reference and duplicate-free."""
+    new, ref = Budget(None), Budget(None)
+    got = intersect(a, b, new)
+    assert to_json(got) == to_json(intersect_reference(a, b, ref))
+    assert new.used == ref.used == len(got.transitions)
+    assert len(set(got.transitions)) == len(got.transitions)
+    return got
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_intersect_matches_reference(seed):
     a = random_automaton(seed)
     b = raw_random_automaton(seed + 50, ENCODINGS["tuple"], n_states=4, extra=1)
     b = TreeAutomaton.raw(a.alphabet, b.states, b.final, b.transitions)
     for x, y in ((a, b), (b, a), (a, random_automaton(seed + 100))):
-        new, ref = Budget(None), Budget(None)
-        assert to_json(intersect(x, y, new)) == to_json(intersect_reference(x, y, ref))
-        assert new.used == ref.used
+        same_product(x, y)
 
 
 # --- emptiness through the partner index ---------------------------------
@@ -806,6 +817,81 @@ def test_intersection_nonempty_matches_reference_on_warm_decide(warm_decide_trip
                 == budget_error(intersection_nonempty_reference, a_g, sub, used // 2)
                 == ("intersection_nonempty", used // 2 + 1))
     assert answers == {"C4": False, "paw": True, "P4x2": False}
+
+
+# --- the product through the partner index ------------------------------
+# `intersect` runs the same join as `intersection_nonempty`; the feeding
+# pairs exercise its heap, and `intersect_reference` is the plain scan.
+
+@pytest.mark.parametrize("case", range(30))
+def test_intersect_matches_reference_on_feeding_pairs(case):
+    a, b = feeding_pair(case)
+    same_product(a, b)
+    same_product(b, a)
+
+
+@pytest.mark.parametrize("unary, expected", [
+    # the pop of (x, y) finds (u, v) through the unary rule only after its
+    # "m" rules ran, so the pop of (u, v) must still meet (x, y)
+    ("n", [((), "l"), ((0,), "n"), ((1, 0), "m"), ((0, 1), "m")]),
+    # here (u, v) is found first and the pop of (x, y) meets it on both
+    # sides, so the pop of (u, v) must skip both transitions
+    ("k", [((), "l"), ((0,), "k"), ((0, 1), "m"), ((1, 0), "m")])])
+def test_intersect_meets_the_pair_that_found_it(unary, expected):
+    alphabet = ["k", "l", "m", "n"]
+    a = make_automaton(alphabet, ["z"], [((), "l", "x"), (("x",), unary, "u"),
+                                         (("u", "x"), "m", "z"), (("x", "u"), "m", "z")])
+    b = make_automaton(alphabet, ["w"], [((), "l", "y"), (("y",), unary, "v"),
+                                         (("v", "y"), "m", "w"), (("y", "v"), "m", "w")])
+    prod = same_product(a, b)
+    assert [(ch, sym) for ch, sym, _q in prod.transitions] == expected
+
+
+def test_intersect_checks_the_deadline():
+    a, b = feeding_pair(0)
+    with pytest.raises(ResourceExceededError) as err:
+        intersect(a, b, Budget(None, timeout_secs=-1))
+    assert err.value.stage == "intersect"
+
+
+WARM_WITNESS_SHAPES = {
+    "P2": [(0, 1)], "P3": [(0, 1), (1, 2)], "K3": [(0, 1), (1, 2), (0, 2)],
+    "K2x2": [(0, 1), (0, 1)], "K2x3": [(0, 1), (0, 1), (0, 1)],
+    "P3x2": [(0, 1), (0, 1), (1, 2)]}
+
+
+@pytest.fixture(scope="module")
+def paired_closure():
+    """The paired no_isolated_vertex closure at 3 labels, the b operand of
+    every product of the `warm_witness` benchmark workload."""
+    from supertw import solver
+    from supertw.cmso.parser import parse
+
+    phi = parse("forall v x. exists e y. inc(x, y)")
+    return solver._sub_automaton(phi, 3, False, True, Budget(None))[0]
+
+
+def dump_digest(aut):
+    return hashlib.sha256(json.dumps(to_json(aut), sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("shape", sorted(WARM_WITNESS_SHAPES))
+def test_intersect_matches_reference_on_warm_witness(shape, paired_closure):
+    from supertw.all_decomps import build_all_decompositions
+    from supertw.graph import Graph
+    from supertw.solver import lift_to_pairs
+
+    edges = WARM_WITNESS_SHAPES[shape]
+    g = Graph(range(1 + max(map(max, edges))),
+              {f"e{i}": e for i, e in enumerate(edges)})
+    a = lift_to_pairs(build_all_decompositions(g, 3), 3)
+    new, ref = Budget(None), Budget(None)
+    got = intersect(a, paired_closure, new)
+    assert (dump_digest(got) == dump_digest(intersect_reference(a, paired_closure, ref)))
+    assert new.used == ref.used == len(got.transitions)
+    assert len(set(got.transitions)) == len(got.transitions)
+    for limit in (0, new.used // 2, new.used - 1):
+        assert budget_error(intersect, a, paired_closure, limit) == ("intersect", limit + 1)
 
 
 def test_witness_deterministic_tie_break():
