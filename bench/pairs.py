@@ -12,11 +12,15 @@ kept). It holds, per seed, both sides' metrics, their per-instance
 median solve times and slowest instance (from the `notes` of the
 `perfbench/out` record, each instance labelled `formula/shape`), and
 whether every instance's answer, charge and witness SHA-256 agree; per
-metric, both medians, the parent's quartile spread, and the number of
-pairs the change wins; per instance label (`instance_summary`), both
-sides' median across pairs and the pairs the change wins; each side's
-total of failed operations over all pairs; and each checkout's `src`
-line count.
+end-to-end metric of `BENCHMARK.json`, both medians, their ratio
+(`change_over_parent`), the parent's quartile spread, the number of pairs
+the change wins, the metric's `bound` and a `verdict` against it: "worse"
+if the change's median is worse by more than the bound, "unresolved" if
+the parent's quartile spread exceeds the bound times the parent's median
+and some change run is not better than every parent run, else "holds";
+per instance label (`instance_summary`), both sides' median across pairs
+and the pairs the change wins; each side's total of failed operations
+over all pairs; and each checkout's `src` line count.
 """
 
 from __future__ import annotations
@@ -75,18 +79,38 @@ def quartile_spread(values):
     return q3 - q1
 
 
-def summarize(pairs, better):
-    """Per metric: medians, parent quartile spread, pairs the change wins."""
+def verdict(parent, change, sign, bound):
+    """"worse" if the change's median is worse than the parent's by more
+    than `bound` times it; "unresolved" if the parent's quartile spread
+    exceeds that margin and some change run is not better than every
+    parent run; else "holds". sign is 1 where lower is better, -1 where
+    higher is."""
+    p_med = statistics.median(parent)
+    margin = bound * abs(p_med)
+    if sign * (statistics.median(change) - p_med) > margin:
+        return "worse"
+    best = min(sign * p for p in parent)
+    if quartile_spread(parent) > margin and any(sign * c >= best for c in change):
+        return "unresolved"
+    return "holds"
+
+
+def summarize(pairs, metrics):
+    """Per end-to-end metric of BENCHMARK.json: medians, their ratio, the
+    parent's quartile spread, pairs the change wins and the bound verdict."""
     out = {}
-    for name, direction in better.items():
+    for name, spec in metrics.items():
         parent = [p["parent"][name] for p in pairs]
         change = [p["change"][name] for p in pairs]
-        sign = 1 if direction == "lower" else -1
+        sign = 1 if spec["better"] == "lower" else -1
         wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
-        out[name] = {"parent_median": statistics.median(parent),
-                     "change_median": statistics.median(change),
+        p_med, c_med = statistics.median(parent), statistics.median(change)
+        out[name] = {"parent_median": p_med, "change_median": c_med,
+                     "change_over_parent": c_med / p_med if p_med else None,
                      "parent_quartile_spread": quartile_spread(parent),
-                     "change_wins": wins, "pairs": len(pairs)}
+                     "change_wins": wins, "pairs": len(pairs),
+                     "bound": spec["bound"],
+                     "verdict": verdict(parent, change, sign, spec["bound"])}
     return out
 
 
@@ -116,7 +140,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     spec = json.loads((Path(args.change) / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     pairs = []
     for k, seed in enumerate(args.seeds):
         sides = ("parent", "change") if k % 2 == 0 else ("change", "parent")
@@ -139,7 +163,7 @@ def main(argv=None):
         "seconds": args.seconds, "pairs": pairs,
         "failed": {side: sum(p[side]["failed"] for p in pairs)
                    for side in ("parent", "change")},
-        "summary": summarize(pairs, better),
+        "summary": summarize(pairs, metrics),
         "instance_summary": summarize_instances(pairs)}
     doc["src_lines"] = {"parent": src_lines(args.parent),
                         "change": src_lines(args.change)}

@@ -4,9 +4,11 @@ An automaton is (alphabet, states, final, transitions) with transitions of
 the form (children, symbol, target) where children is a tuple of 0, 1 or 2
 states. A term is accepted when some bottom-up run lands in a final state.
 
-The constructions here are the ones the pipeline runs: product
-(`intersect`, `intersection_nonempty`), projection, `trim`,
-`reduce_bisim` and witness extraction. Negation needs no subset
+The constructions here are the ones the pipeline runs: product,
+projection, `trim`, `reduce_bisim` and witness extraction. The product
+is one join, `_product`, behind two wrappers: `intersect` builds the
+product automaton and `intersection_nonempty` stops at its first final
+pair without building transitions. Negation needs no subset
 construction in this module: `cmso.compile` subtracts from the validity
 automaton. Every construction iterates in a canonical order so its output
 is reproducible byte for byte. The products spend against a `util.Budget`
@@ -16,7 +18,6 @@ automaton; nothing reads a dump back.
 
 from __future__ import annotations
 
-from collections import deque
 from heapq import heapify, heappop, heappush
 from itertools import chain
 
@@ -152,50 +153,56 @@ def _child_indexes(aut: TreeAutomaton):
     return got
 
 
-def intersect(a: TreeAutomaton, b: TreeAutomaton, budget: Budget | None = None):
-    """Product automaton restricted to reachable state pairs.
+class _FinalPair(Exception):
+    """A deciding `_product` found its first final pair."""
 
-    Each pair (qa, qb) is numbered when it is discovered, so the result's
-    states are the dense ids 0..n-1 in discovery order, not the pairs;
-    `to_json` numbers states by position, so the dump is the one the pair
-    states would give. Transitions come out in emission order, with one
-    `budget.spend` per transition, appended once as (children, symbol,
-    target).
 
-    States are popped in id order. The pop of p = (pa, pb) runs every
-    rule pair of a and b with child pa and pb on the same side, in rule
-    order (a's rule outer), and makes a transition when the other
-    children form a known pair: the partner c.
+def _product(a: TreeAutomaton, b: TreeAutomaton, budget, stage, decide):
+    """The product join behind `intersect` and `intersection_nonempty`.
 
-    The join reads only the rules that can fire, as in
-    `intersection_nonempty`. Per a-state the known b-partners are kept
-    with their pair ids. b's rules with child pb on one side are grouped
-    by their other child (`_partner_group`, built lazily and kept on b),
-    so an a-rule with other child ca looks up the groups of ca's partners
-    and visits those b-rules in rule order. Pass the long-lived operand,
-    such as a cached closure, as b.
+    Returns (pairs, trs): pairs[id] is (qa, qb, id of the pair whose pop
+    found it, -1 for a leaf pair), numbered in discovery order; trs are
+    the transitions (children ids, symbol, target id) in emission order,
+    each appended once with one `budget.spend(1, stage)`. With `decide`
+    no transition is built: each new pair spends 1 instead, and the first
+    final pair raises `_FinalPair`. Both modes number the pairs alike.
+
+    Pairs are popped in id order, and each pop checks the deadline. The
+    pop of p = (pa, pb) runs every rule pair of a and b with child pa and
+    pb on the same side, in rule order (a's rule outer), and makes a
+    transition when the other children form a known pair: the partner c.
+
+    The join reads only the rules that can fire. Per a-state the known
+    b-partners are kept with their pair ids. b's rules with child pb on
+    one side are grouped by their other child (`_partner_group`, built
+    lazily and kept on b), so an a-rule with other child ca looks up the
+    groups of ca's partners and visits those b-rules in rule order. Pass
+    the long-lived operand, such as a cached closure, as b: its groups
+    serve every later join against it.
 
     A pair can meet p at both pops. Say the pop of `born` found p. A
     partner c with born < c < p met p at its own pop, so it is skipped; on
     the right side born < c <= p is skipped, since the left side already
     met p with itself. `born` met p if p was found before their rule pair
     came up in that pop: each pop keeps, per partner it found itself, the
-    transitions it made with it, and the partner's pop skips those.
+    transitions it made with it (`met`), and the partner's pop skips
+    those. A skipped meeting finds no new pair.
 
     An a-rule whose target is its own other child (qa == ca) gives ca a
     new partner with each pair it finds, and b-rules later in the same
     loop may join with that partner. Such a rule visits its b-rules from a
     heap, into which the group of each new partner is merged from the
-    current rule position on. So every transition comes out in the same
-    order as with a plain scan of all rule pairs that tests each pair of
-    other children as it goes.
+    current rule position on. So every pair and transition comes out in
+    the same order as with a plain scan of all rule pairs that tests each
+    pair of other children as it goes.
     """
-    _check_same_alphabet(a, b, "intersect")
+    _check_same_alphabet(a, b, stage)
     if budget is None:
         budget = Budget()
     _, aL, aU, aB1, aB2 = _child_indexes(a)
     _, bL, bU, bB1, bB2 = _child_indexes(b)
     alphabet = a.alphabet
+    afin, bfin = a.final, b.final
     spend = budget.spend
     partners = {}  # qa -> {qb: id of the pair (qa, qb)}, in discovery order
     pairs = []     # id -> (qa, qb, id of the pair whose pop found it)
@@ -213,7 +220,24 @@ def intersect(a: TreeAutomaton, b: TreeAutomaton, budget: Budget | None = None):
         """Number the new pair (qa, qb), found by the pop of `born`."""
         t = tq[qb] = len(pairs)
         pairs.append((qa, qb, born))
+        if decide:
+            spend(1, stage)
+            if qa in afin and qb in bfin:
+                raise _FinalPair
         return t
+
+    def cross(la, lb, ch, sym, born):
+        """Pair every target of la with every target of lb: the leaf
+        (ch == ()) or unary rules of one symbol."""
+        for qa in la:
+            tq = targets(qa)
+            for qb in lb:
+                t = tq.get(qb)
+                if t is None:
+                    t = number(tq, qa, qb, born)
+                if not decide:
+                    trs.append((ch, sym, t))
+                    spend(1, stage)
 
     def join(la, lb, side, si, p, pb, born, hi, start, seen):
         """Run a's rules la against b's rules lb, both with the popped pair
@@ -249,8 +273,6 @@ def intersect(a: TreeAutomaton, b: TreeAutomaton, budget: Budget | None = None):
                 order = sorted(chain.from_iterable(hits))
             for k in order:
                 cch, _s, qb = lb[k]
-                c = part[cch[other]]
-                ch = (c, p) if side else (p, c)
                 t = tq.get(qb)
                 if t is None:
                     t = number(tq, qa, qb, p)
@@ -258,10 +280,14 @@ def intersect(a: TreeAutomaton, b: TreeAutomaton, budget: Budget | None = None):
                         for k2 in grp.get(qb, ()):
                             if k2 > k:
                                 heappush(heap, k2)
-                elif c == born and seen and (ch, si, t) in seen:
+                if decide:
+                    continue
+                c = part[cch[other]]
+                ch = (c, p) if side else (p, c)
+                if c == born and seen and (ch, si, t) in seen:
                     continue
                 trs.append((ch, sym, t))
-                spend(1, "intersect")
+                spend(1, stage)
                 if c >= start:
                     got = met.get(c)
                     if got is None:
@@ -269,19 +295,12 @@ def intersect(a: TreeAutomaton, b: TreeAutomaton, budget: Budget | None = None):
                     got.add((ch, si, t))
 
     for si, (la, lb) in enumerate(zip(aL, bL)):
-        sym = alphabet[si]
-        for qa in la:
-            tq = targets(qa)
-            for qb in lb:
-                t = tq.get(qb)
-                if t is None:
-                    t = number(tq, qa, qb, -1)
-                trs.append(((), sym, t))
-                spend(1, "intersect")
+        cross(la, lb, (), alphabet[si], -1)
 
     nsym = len(alphabet)
     p = 0
     while p < len(pairs):
+        budget.check_time(stage)
         pa, pb, born = pairs[p]
         start = len(pairs)
         seen = met.pop(p, None)
@@ -290,16 +309,7 @@ def intersect(a: TreeAutomaton, b: TreeAutomaton, budget: Budget | None = None):
             if la:
                 lb = bU[si].get(pb)
                 if lb:
-                    sym = alphabet[si]
-                    ch = (p,)
-                    for qa in la:
-                        tq = targets(qa)
-                        for qb in lb:
-                            t = tq.get(qb)
-                            if t is None:
-                                t = number(tq, qa, qb, p)
-                            trs.append((ch, sym, t))
-                            spend(1, "intersect")
+                    cross(la, lb, (p,), alphabet[si], p)
             la = aB1[si].get(pa)
             if la:
                 lb = bB1[si].get(pb)
@@ -311,16 +321,43 @@ def intersect(a: TreeAutomaton, b: TreeAutomaton, budget: Budget | None = None):
                 if lb:
                     join(la, lb, 1, si, p, pb, born, p + 1, start, seen)
         p += 1
-
-    afin, bfin = a.final, b.final
-    final = [i for i, (qa, qb, _) in enumerate(pairs) if qa in afin and qb in bfin]
-    return TreeAutomaton.raw(alphabet, range(len(pairs)), final, trs)
+    return pairs, trs
 
 
 def _drain(heap):
     """Pop `heap` until it is empty, taking pushes made in between."""
     while heap:
         yield heappop(heap)
+
+
+def intersect(a: TreeAutomaton, b: TreeAutomaton, budget: Budget | None = None):
+    """Product automaton restricted to reachable state pairs.
+
+    Its states are the pair ids 0..n-1 of `_product`, in discovery order,
+    not the pairs; `to_json` numbers states by position, so the dump is
+    the one the pair states would give. Transitions come out in emission
+    order, each charged 1 under "intersect"; each pop checks the deadline.
+    """
+    pairs, trs = _product(a, b, budget, "intersect", False)
+    afin, bfin = a.final, b.final
+    final = [i for i, (qa, qb, _) in enumerate(pairs) if qa in afin and qb in bfin]
+    return TreeAutomaton.raw(a.alphabet, range(len(pairs)), final, trs)
+
+
+def intersection_nonempty(a: TreeAutomaton, b: TreeAutomaton,
+                          budget: Budget | None = None) -> bool:
+    """Emptiness of L(a) ∩ L(b), short-circuiting on the first final pair.
+
+    Runs the `_product` join without building transitions. Each pair found
+    is charged 1 under "intersection_nonempty", so a YES charges the first
+    final pair's id + 1 and a NO the number of reachable pairs; each pop
+    checks the deadline.
+    """
+    try:
+        _product(a, b, budget, "intersection_nonempty", True)
+    except _FinalPair:
+        return True
+    return False
 
 
 def project(a: TreeAutomaton, f, alphabet=None):
@@ -667,136 +704,6 @@ def _partner_group(aut: TreeAutomaton, side, si, c):
     return got
 
 
-def intersection_nonempty(a: TreeAutomaton, b: TreeAutomaton,
-                          budget: Budget | None = None) -> bool:
-    """Emptiness of L(a) ∩ L(b), short-circuiting on the first final pair.
-
-    Pairs (qa, qb) are numbered when discovered, with one `budget.spend`
-    per new pair, and popped in that order; each pop checks the deadline.
-    The pop of p = (pa, pb) runs every rule pair of a and b with child pa
-    and pb on the same side, in rule order (a's rule outer), and finds its
-    target pair when the other children form a known pair.
-
-    The join reads only the rules that can fire. Per a-state the known
-    b-partners are kept with their pair ids. b's rules with child pb on
-    one side are grouped by their other child (`_partner_group`, built
-    lazily and kept on b), so an a-rule with other child ca looks up the
-    groups of ca's partners and visits those b-rules in rule order. Pass
-    the long-lived operand, such as a cached closure, as b: its groups
-    serve every later join against it.
-
-    A partner pair c with born < c < p, where `born` is the pop that found
-    p, met p in both orientations at its own pop, so it is skipped; on
-    the right side born < c <= p is skipped, since the left side already
-    met p with itself. A skipped meeting would only rediscover known
-    pairs, so nothing changes.
-
-    An a-rule whose target is its own other child (qa == ca) gives ca a
-    new partner with each pair it finds, and b-rules later in the same
-    loop may join with that partner. Such a rule visits its b-rules from a
-    heap, into which the group of each new partner is merged from the
-    current rule position on. So every pair is found in the same order,
-    and the answer and the charge are the same, as with a plain scan of
-    all rule pairs that tests each pair of other children as it goes.
-    """
-    _check_same_alphabet(a, b, "intersection_nonempty")
-    if budget is None:
-        budget = Budget()
-    _, aL, aU, aB1, aB2 = _child_indexes(a)
-    _, bL, bU, bB1, bB2 = _child_indexes(b)
-    afin, bfin = a.final, b.final
-    partners = {}     # qa -> {qb: id of the pair (qa, qb)}, in discovery order
-    agenda = deque()  # (qa, qb, id, id of the pair whose pop found it)
-    popped = -1       # the pair being popped; -1 while seeding leaves
-    count = 0
-
-    def discover(qa, qb):
-        """Number (qa, qb) if new; True if it is a new final pair."""
-        nonlocal count
-        got = partners.get(qa)
-        if got is None:
-            got = partners[qa] = {}
-        elif qb in got:
-            return False
-        budget.spend(1, "intersection_nonempty")
-        got[qb] = count
-        agenda.append((qa, qb, count, popped))
-        count += 1
-        return qa in afin and qb in bfin
-
-    def join(la, lb, side, si, pb, born, hi):
-        """Run a's rules la against b's rules lb, both with the popped pair
-        (child pb of b) on `side`; partner pairs with born < id < hi are
-        skipped. True on a final pair."""
-        other = 1 - side
-        grp = None
-        for children, _s, qa in la:
-            ca = children[other]
-            part = partners.get(ca)
-            if not part:
-                continue
-            if grp is None:
-                grp = _partner_group(b, side, si, pb)
-            if len(part) < len(grp):
-                hits = [g for cb, c in part.items()
-                        if not born < c < hi and (g := grp.get(cb))]
-            else:
-                hits = [g for cb, g in grp.items()
-                        if (c := part.get(cb)) is not None and not born < c < hi]
-            if not hits:
-                continue
-            if qa == ca:
-                heap = list(chain.from_iterable(hits))
-                heapify(heap)
-                while heap:
-                    k = heappop(heap)
-                    qb = lb[k][2]
-                    fresh = qb not in part
-                    if discover(qa, qb):
-                        return True
-                    if fresh:
-                        for k2 in grp.get(qb, ()):
-                            if k2 > k:
-                                heappush(heap, k2)
-                continue
-            for k in hits[0] if len(hits) == 1 else sorted(chain.from_iterable(hits)):
-                if discover(qa, lb[k][2]):
-                    return True
-        return False
-
-    for la, lb in zip(aL, bL):
-        for qa in la:
-            for qb in lb:
-                if discover(qa, qb):
-                    return True
-
-    nsym = len(a.alphabet)
-    while agenda:
-        pa, pb, p, born = agenda.popleft()
-        popped = p
-        budget.check_time("intersection_nonempty")
-        for si in range(nsym):
-            la = aU[si].get(pa)
-            if la:
-                lb = bU[si].get(pb)
-                if lb:
-                    for qa in la:
-                        for qb in lb:
-                            if discover(qa, qb):
-                                return True
-            la = aB1[si].get(pa)
-            if la:
-                lb = bB1[si].get(pb)
-                if lb and join(la, lb, 0, si, pb, born, p):
-                    return True
-            la = aB2[si].get(pa)
-            if la:
-                lb = bB2[si].get(pb)
-                if lb and join(la, lb, 1, si, pb, born, p + 1):
-                    return True
-    return False
-
-
 # --- serialization ---------------------------------------------------------
 
 def symbol_to_obj(sym):
@@ -809,15 +716,17 @@ def symbol_to_obj(sym):
 
 
 def to_json(aut: TreeAutomaton) -> dict:
-    """Canonical JSON object: states densely renumbered in sorted order."""
+    """Canonical JSON object: states densely renumbered in sorted order.
+    Each alphabet symbol is encoded once and its encoding shared."""
     index = {q: i for i, q in enumerate(aut.states)}
+    enc = {sym: symbol_to_obj(sym) for sym in aut.alphabet}
     return {
-        "alphabet": [symbol_to_obj(s) for s in aut.alphabet],
+        "alphabet": [enc[s] for s in aut.alphabet],
         "states": len(aut.states),
         "final": sorted(index[q] for q in aut.final),
         "transitions": [
             {"children": [index[c] for c in ch],
-             "symbol": symbol_to_obj(sym),
+             "symbol": enc[sym] if sym in enc else symbol_to_obj(sym),
              "to": index[q]}
             for ch, sym, q in aut.transitions
         ],

@@ -612,10 +612,10 @@ def test_intersect_matches_reference(seed):
 
 
 # --- emptiness through the partner index ---------------------------------
-# `intersection_nonempty` joins through per-state partner lists and lazy
-# rule groups; the reference below is the plain scan it replaced, which
-# runs every rule pair and tests the other children's pair as it goes.
-# Both must discover the same pairs in the same order.
+# `intersection_nonempty` is the `_product` join run without transitions;
+# the reference below is the plain scan it replaced, which runs every rule
+# pair and tests the other children's pair as it goes. Both must discover
+# the same pairs in the same order.
 
 def intersection_nonempty_reference(a, b, budget=None):
     if budget is None:
@@ -761,6 +761,10 @@ def test_intersection_nonempty_checks_the_deadline_per_pop():
         # every discovered pair is popped once, and each pop checks once
         assert budget.used > 0
         assert budget.checks == ["intersection_nonempty"] * budget.used
+        # the product pops the same pairs through the same join
+        budget = CountingBudget()
+        prod = intersect(a, b, budget)
+        assert budget.checks == ["intersect"] * len(prod.states)
     with pytest.raises(ResourceExceededError) as err:
         intersection_nonempty(a, b, Budget(None, timeout_secs=-1))
     assert err.value.stage == "intersection_nonempty"
@@ -820,7 +824,7 @@ def test_intersection_nonempty_matches_reference_on_warm_decide(warm_decide_trip
 
 
 # --- the product through the partner index ------------------------------
-# `intersect` runs the same join as `intersection_nonempty`; the feeding
+# `intersect` is the `_product` join run with transitions; the feeding
 # pairs exercise its heap, and `intersect_reference` is the plain scan.
 
 @pytest.mark.parametrize("case", range(30))
@@ -852,6 +856,31 @@ def test_intersect_checks_the_deadline():
     with pytest.raises(ResourceExceededError) as err:
         intersect(a, b, Budget(None, timeout_secs=-1))
     assert err.value.stage == "intersect"
+
+
+# --- one join, two modes -------------------------------------------------
+# Both wrappers number the pairs in one order, so emptiness answers whether
+# the product has a final state and charges the pairs up to the first one.
+
+def same_as_product(a, b):
+    """Emptiness of (a, b), asserted to read the product's first final pair."""
+    budget = Budget(None)
+    answer = intersection_nonempty(a, b, budget)
+    prod = intersect(a, b, Budget(None))
+    assert answer == bool(prod.final)
+    assert budget.used == (min(prod.final) + 1 if prod.final else len(prod.states))
+
+
+@pytest.mark.parametrize("case", range(30))
+def test_intersection_nonempty_matches_intersect(case):
+    a, b = feeding_pair(case)
+    for x, y in sweep(a, b, a.states, b.states) + sweep(b, a, b.states, a.states):
+        same_as_product(x, y)
+
+
+def test_intersection_nonempty_matches_intersect_on_warm_decide(warm_decide_triples):
+    for _shape, a_g, sub in warm_decide_triples:
+        same_as_product(a_g, sub)
 
 
 WARM_WITNESS_SHAPES = {
