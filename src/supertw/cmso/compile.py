@@ -30,6 +30,7 @@ erasure to the plain bag alphabet yields the sentence automaton.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from itertools import combinations, product as iproduct
 
@@ -183,8 +184,15 @@ def validity_automaton(t: int, xvars, budget=None) -> TreeAutomaton:
 
 
 def _build_validity(t, xs, budget):
-    """Emits each transition once: the pop of c pairs it per symbol with
-    the partners filed before it and with c itself, once for (c, c)."""
+    """Numbers each state (B, vflags, closed, eseen) when it is first
+    found, so the automaton's states are 0..n-1 in discovery order and its
+    transitions (children ids, symbol, target id): `to_json` numbers the
+    states by position, so the dump is the one the tuple states gave. A
+    target is numbered before its transition is emitted.
+
+    Emits each transition once: the pop of c pairs it per symbol with
+    the partners filed before it and with c itself, once for (c, c). A
+    pop's children tuples are shared by all the symbols it reads."""
     alphabet = interpreted_alphabet(t, xs)
     fo_v = frozenset(v for v in xs if v.kind == VarKind.VERTEX)
     fo_e = frozenset(v for v in xs if v.kind == VarKind.EDGE)
@@ -195,29 +203,33 @@ def _build_validity(t, xs, budget):
         new_e = frozenset(v for v in sym.eflags if v.kind == VarKind.EDGE)
         syminfo.append((sym, sym.bag.B, sym.vflags, open_fo, new_e))
 
-    states = {}
-    transitions = []
+    ids = {}          # state -> id, in discovery order
+    keys = []         # id -> state
+    transitions = []  # (children ids, symbol, target id)
     queue = deque()
-    # per symbol index: signature (closed-after, eseen) -> child states
+    # per symbol index: signature (closed-after, eseen) -> child ids
     buckets = [dict() for _ in syminfo]
 
-    def add_state(st):
-        if st not in states:
-            states[st] = None
-            queue.append(st)
+    def number(st):
+        i = ids.get(st)
+        if i is None:
+            i = ids[st] = len(keys)
+            keys.append(st)
+            queue.append(i)
+        return i
 
     def emit(children, sym, tgt):
         transitions.append((children, sym, tgt))
         budget.spend(1, "validity")
 
     for sym, B, vfl, open_fo, new_e in syminfo:
-        st = (B, vfl, frozenset(), new_e)
-        emit((), sym, st)
-        add_state(st)
+        emit((), sym, number((B, vfl, frozenset(), new_e)))
 
     while queue:
         c = queue.popleft()
-        c_B, c_vfl, c_closed, c_eseen = c
+        c_B, c_vfl, c_closed, c_eseen = keys[c]
+        only_c = (c,)
+        pairs = {}  # partner id -> its children tuples with c, both orders
         for i, (sym, B, vfl, open_fo, new_e) in enumerate(syminfo):
             shared = c_B & B
             if shared:
@@ -234,9 +246,7 @@ def _build_validity(t, xs, budget):
                 continue
             if c_eseen & new_e:
                 continue
-            tgt = (B, vfl, prog, c_eseen | new_e)
-            emit((c,), sym, tgt)
-            add_state(tgt)
+            emit(only_c, sym, number((B, vfl, prog, c_eseen | new_e)))
 
             sig = (prog, c_eseen)
             bucket = buckets[i]
@@ -252,23 +262,25 @@ def _build_validity(t, xs, budget):
                 both_eseen = c_eseen | eseen2
                 if both_eseen & new_e:
                     continue
-                tgt2 = (B, vfl, both_closed, both_eseen | new_e)
+                tgt2 = number((B, vfl, both_closed, both_eseen | new_e))
                 for d in partners:
-                    emit((c, d), sym, tgt2)
-                    if d is not c:
-                        emit((d, c), sym, tgt2)
-                add_state(tgt2)
+                    got = pairs.get(d)
+                    if got is None:
+                        got = pairs[d] = ((c, d), (d, c))
+                    emit(got[0], sym, tgt2)
+                    if d != c:
+                        emit(got[1], sym, tgt2)
 
     final = []
-    for st in states:
-        _, vfl, closed, eseen = st
+    for i, (_, vfl, closed, eseen) in enumerate(keys):
         if eseen != fo_e:
             continue
         open_now = frozenset(z for z, _ in vfl if z in fo_v)
         if all((x in closed) != (x in open_now) for x in fo_v):
-            final.append(st)
+            final.append(i)
 
-    return trim(TreeAutomaton.raw(alphabet, states, final, transitions), budget)
+    return trim(TreeAutomaton.raw(alphabet, range(len(keys)), final,
+                                  transitions), budget)
 
 
 def functional_product(base, leaf_f, unary_f, binary_f, final_f, budget, stage):
@@ -293,31 +305,49 @@ def functional_product(base, leaf_f, unary_f, binary_f, final_f, budget, stage):
     did `born` if its snapshot for the rule came after it found i; and on
     the right, so did i itself, on the left. Base transitions are distinct
     and the steps deterministic, so each transition is appended once.
+
+    The base's binary rules are indexed per base state in int columns:
+    one flat `array("i")` per side, four ints per rule (other child,
+    symbol position, target, slot), read four at a time. The slots of
+    the left side are fixed up in place once the pass has counted every
+    state's left rules.
     """
     bidx = {q: i for i, q in enumerate(base.states)}
+    alphabet = base.alphabet
+    aidx = {a: i for i, a in enumerate(alphabet)}
     leaf_trans = []
     un_by_child = {}
-    bin_by_left = {}   # left child -> [(right child, rule, slot)]
-    bin_by_right = {}  # right child -> [(left child, rule, slot)]
+    # base state -> its binary rules by left (right) child, flat int
+    # columns: (right (left) child, symbol position, target, slot) each
+    bin_by_left = {}
+    bin_by_right = {}
     for children, sym, tgt in base.transitions:
-        rule = (sym, bidx[tgt])
         if not children:
-            leaf_trans.append(rule)
+            leaf_trans.append((sym, bidx[tgt]))
         elif len(children) == 1:
-            un_by_child.setdefault(bidx[children[0]], []).append(rule)
+            un_by_child.setdefault(bidx[children[0]], []).append(
+                (sym, bidx[tgt]))
         else:
             l, r = bidx[children[0]], bidx[children[1]]
-            by_l = bin_by_left.setdefault(l, [])
-            by_r = bin_by_right.setdefault(r, [])
-            by_l.append((r, rule, len(by_r)))
-            by_r.append((l, rule, len(by_l) - 1))
+            by_l = bin_by_left.get(l)
+            if by_l is None:
+                by_l = bin_by_left[l] = array("i")
+            by_r = bin_by_right.get(r)
+            if by_r is None:
+                by_r = bin_by_right[r] = array("i")
+            si, q = aidx[sym], bidx[tgt]
+            by_l.extend((r, si, q, len(by_r) >> 2))
+            by_r.extend((l, si, q, (len(by_l) >> 2) - 1))
     # The pop of a state over base state q takes its partner snapshots
     # in the order of q's rules by left child, then by right child. An
     # entry's slot is the position of its rule in that order for the
-    # partner's base state, where the partner is on the other side.
-    for l, entries in bin_by_left.items():
-        bin_by_left[l] = [(r, rule, len(bin_by_left.get(r, ())) + slot)
-                          for r, rule, slot in entries]
+    # partner's base state, where the partner is on the other side: a
+    # left entry's slot gains the count of its partner's left rules.
+    for cols in bin_by_left.values():
+        for k in range(3, len(cols), 4):
+            other = bin_by_left.get(cols[k - 3])
+            if other is not None:
+                cols[k] += len(other) >> 2
 
     ids = {}          # (base state, m) -> product state id
     discovered = {}   # base state -> [(m, id)] in discovery order
@@ -353,7 +383,9 @@ def functional_product(base, leaf_f, unary_f, binary_f, final_f, budget, stage):
             if m2 is None:
                 continue
             emit((i,), sym, tgt, m2)
-        for qb2, (sym, tgt), slot in bin_by_left.get(qb, ()):
+        it = iter(bin_by_left.get(qb, ()))
+        for qb2, si, tgt, slot in zip(it, it, it, it):
+            sym = alphabet[si]
             met = seen <= slot
             snaps += 1
             for m2, i2 in tuple(discovered.get(qb2, ())):
@@ -363,7 +395,9 @@ def functional_product(base, leaf_f, unary_f, binary_f, final_f, budget, stage):
                 if mm is None:
                     continue
                 emit((i, i2), sym, tgt, mm)
-        for qb1, (sym, tgt), slot in bin_by_right.get(qb, ()):
+        it = iter(bin_by_right.get(qb, ()))
+        for qb1, si, tgt, slot in zip(it, it, it, it):
+            sym = alphabet[si]
             met = seen <= slot
             snaps += 1
             for m1, i1 in tuple(discovered.get(qb1, ())):
@@ -376,12 +410,16 @@ def functional_product(base, leaf_f, unary_f, binary_f, final_f, budget, stage):
 
     base_final = {bidx[q] for q in base.final}
     final = [i for (qb, m), i in ids.items() if qb in base_final and final_f(m)]
-    return TreeAutomaton.raw(base.alphabet, range(len(ids)), final, transitions)
+    return TreeAutomaton.raw(alphabet, range(len(ids)), final, transitions)
 
 
 class _SubsetSim:
     """Subset simulation of an automaton, optionally reading the driving
-    symbols through an erasure map (to lift over a larger alphabet)."""
+    symbols through an erasure map (to lift over a larger alphabet).
+
+    `binary` interns each subset it computes in `subsets`, so its cache
+    values and the product states built from them share one frozenset
+    per distinct subset. The table lives and dies with the simulation."""
 
     def __init__(self, other, erase=None):
         self.alphabet = other.alphabet
@@ -402,6 +440,7 @@ class _SubsetSim:
         self.un = un
         self.bn = bn
         self.bcache = {}
+        self.subsets = {}
 
     def sym(self, sym):
         return self.erase[sym] if self.erase is not None else sym
@@ -431,7 +470,7 @@ class _SubsetSim:
                         for q2 in s2:
                             acc.update(row.get(q2, ()))
             out = frozenset(acc)
-            self.bcache[key] = out
+            out = self.bcache[key] = self.subsets.setdefault(out, out)
         return out
 
     def hit(self, s):

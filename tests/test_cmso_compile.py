@@ -10,6 +10,8 @@ import gc
 import hashlib
 import json
 import random
+import sys
+import tracemalloc
 from collections import Counter, deque
 from pathlib import Path
 
@@ -422,6 +424,21 @@ def test_subset_simulation_determinizes_and_complements(seed):
     assert language(diff) == set(TERMS3) - language(a)
 
 
+def test_subset_simulation_shares_equal_subsets():
+    # two binary steps under different keys reach the subset {1}: both
+    # answers are one object, and a cache hit returns it unchanged
+    a = TreeAutomaton(["a", "b"], [0, 1], [1],
+                      [((), "a", 0), ((0, 0), "a", 1), ((0, 0), "b", 1)])
+    sim = _SubsetSim(a)
+    s0 = sim.leaf("a")
+    by_a = sim.binary(s0, s0, "a")
+    by_b = sim.binary(s0, s0, "b")
+    assert by_a == frozenset({1})
+    assert by_a is by_b
+    assert sim.binary(s0, s0, "a") is by_a == frozenset({1})
+    assert len(sim.bcache) == 2 and len(sim.subsets) == 1
+
+
 @pytest.mark.parametrize("mode", ["and", "or", "not"])
 def test_subset_product_alphabet_mismatch(mode):
     # an operand read as is must be over validity's alphabet; one read
@@ -506,6 +523,90 @@ def test_compiled_formula_pinned(name):
     clear_caches()  # a real build, not a cache hit
     text = json.dumps(to_json(compile_formula(make(), 3)), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# SHA-256 of the canonical JSON of validity_automaton(3, xs) and its
+# charge, for every scope that compile(phi, 3) asks for with the four
+# benchmark formulas, as the tuple states (B, vflags, closed, eseen) built
+# them: numbering the states may not move a byte
+PINNED_VALIDITY = {
+    (): ("fcc48a53307e8affad3320d58c0c136b1add77c635df628077a9a7c8fcef0a6f",
+         1022),
+    (("_q0", "v"),): (
+        "2cbc911f80a7a62dc0e944d9dbc30073a69665603b801f1e2cd2f8087470666e",
+        5917),
+    (("_q1", "v"),): (
+        "6b137c415505c1fc10b34915cbf0e2624a25fc3ddf74cbce96d2e28c1a498db7",
+        5917),
+    (("_q0", "vs"),): (
+        "a9427235edd2ae2399bff52f6caea779914c67fe46caf9deb8a689433799284d",
+        8919),
+    (("_q0", "v"), ("_q1", "e")): (
+        "d3de9db523749ef96aeb9810cc4933c9eedd08c3dc27f8ebbf3f5911b0965eff",
+        19722),
+    (("_q0", "v"), ("_q3", "e")): (
+        "519bfe520cb3777f663135065a7513ef06d02108bc9038db7e25cdf1ae577e9b",
+        19722),
+    (("_q1", "v"), ("_q3", "e")): (
+        "9b3e8a438cdf2076ef2bb74f94427dce2389861d72ffb98d9660fd0746315f5e",
+        19722),
+    (("_q0", "v"), ("_q1", "v")): (
+        "0f276fbe5dcc374fa555324d1a866c207498a73cf2b95f6d2dda24b4adb623f4",
+        35151),
+    (("_q0", "vs"), ("_q1", "v")): (
+        "93069442e565141e88acfa6b9a7c596172bfd4509c456c9b38587a5c72f85269",
+        55652),
+    (("_q0", "v"), ("_q1", "v"), ("_q3", "e")): (
+        "2c02ddd983ce51ebf154aaabeea85e981c33704f9247b18aa7d8d67a24e87f78",
+        117994),
+}
+
+
+def test_pinned_validity_scopes_are_those_compile_asks_for(monkeypatch):
+    asked = set()
+
+    def recording(t, xs, budget=None):
+        asked.add(tuple((v.name, v.kind.value) for v in xs))
+        return validity_automaton(t, xs, budget)
+
+    monkeypatch.setattr(sys.modules[validity_automaton.__module__],
+                        "validity_automaton", recording)
+    for make, _digest in PINNED_COMPILE.values():
+        clear_caches()
+        compile_formula(make(), 3)
+    assert asked == set(PINNED_VALIDITY)
+
+
+@pytest.mark.parametrize("scope", sorted(PINNED_VALIDITY), ids=lambda scope: (
+    "-".join(f"{name}:{kind}" for name, kind in scope) or "none"))
+def test_validity_automaton_pinned(scope):
+    digest, charged = PINNED_VALIDITY[scope]
+    xs = tuple(Var(name, VarKind(kind)) for name, kind in scope)
+    clear_caches()
+    budget = Budget(None)
+    aut = validity_automaton(3, xs, budget)
+    text = json.dumps(to_json(aut), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert budget.used == charged
+    # numbered in discovery order, and trim drops none of them
+    assert aut.states == tuple(range(len(aut.states)))
+
+
+def test_compile_memory_bounded():
+    # a cold compile of no_isolated_vertex at 3 labels traces about 14 MB
+    # when the validity states, the product's rule index and the cached
+    # subsets are ints and shared objects; one tuple or frozenset per
+    # transition or cache entry breaks the bound
+    make, _digest = PINNED_COMPILE["no_isolated_vertex"]
+    phi = make()
+    clear_caches()
+    tracemalloc.start()
+    try:
+        compile_formula(phi, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
 
 
 # Sentences with a vacuous binder. A first-order one is lifted: the body
