@@ -10,8 +10,11 @@ stdout line and its per-solve records from `perfbench/out/`. The entry
 for the workload in `--out` is replaced (other workloads in the file are
 kept). It holds, per seed, both sides' metrics, their per-instance
 median solve times and slowest instance (from the `notes` of the
-`perfbench/out` record, each instance labelled `formula/shape`), and
-whether every instance's answer, charge and witness SHA-256 agree; per
+`perfbench/out` record, each instance labelled `formula/shape`), whether
+every instance's answer and witness SHA-256 agree
+(`answers_and_witnesses_identical`) and, apart from that, whether its
+charge does (`charges_identical`: a change that lowers charges reads
+false there and nowhere else); per
 end-to-end metric of `BENCHMARK.json`, both medians, their ratio
 (`change_over_parent`), the parent's quartile spread, the number of pairs
 the change wins, the metric's `bound` and a `verdict` against it: "worse"
@@ -37,8 +40,9 @@ from pathlib import Path
 
 
 def run_side(checkout, workload, seed, seconds):
-    """One `perfbench/run.py` run in `checkout`: (result line, solve
-    records, per-instance medians and slowest instance by label)."""
+    """One `perfbench/run.py` run in `checkout`: (result line, the
+    (id, answer, charged, digest) of its solves, per-instance medians and
+    slowest instance by label)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     got = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -58,6 +62,17 @@ def run_side(checkout, workload, seed, seconds):
                                          in sorted(notes["instance_medians"].items())},
                     "tail_instance": labels.get(notes["tail_instance"])}
     return result, solves, per_instance
+
+
+def outcomes(solves):
+    """Each solve's (id, answer, witness digest), without its charge."""
+    return sorted({(i, answer, digest) for i, answer, _c, digest in solves},
+                  key=repr)
+
+
+def charges(solves):
+    """Each solve's (id, charged)."""
+    return sorted({(i, charged) for i, _a, charged, _d in solves}, key=repr)
 
 
 def instance_labels(instances):
@@ -153,7 +168,10 @@ def main(argv=None):
             pair[side]["failed"] = result["failed"]
             pair[side]["correct"] = result["correct"]
             pair[side].update(per_instance)
-        pair["solves_identical"] = solves["parent"] == solves["change"]
+        pair["answers_and_witnesses_identical"] = (
+            outcomes(solves["parent"]) == outcomes(solves["change"]))
+        pair["charges_identical"] = (
+            charges(solves["parent"]) == charges(solves["change"]))
         pairs.append(pair)
         print(json.dumps(pair), flush=True)
 

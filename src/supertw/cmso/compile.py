@@ -18,12 +18,18 @@ complement, are sound:
 
 The validity automaton accepts exactly the canonical interpreted terms.
 Each subformula is compiled over exactly its own free variables, which
-keeps alphabets minimal deep in the formula.  Every boolean step is one
-construction, `subset_product`: the validity automaton of the node's
-scope in product with subset simulations of the operands, each lifted
-to that scope by reading symbols through a flag-erasure map.  It
-computes and, or, negation relative to validity, and the lift of an
-operand into a scope with a variable it does not use.
+keeps alphabets minimal deep in the formula.  Atom-shaped subformulas
+are step machines run against the validity automaton of their scope by
+`functional_product`: an atom; the negation of an atom, whose steps never
+reject, so that flipping the final test complements it relative to
+validity; and exists e. inc(x1, e) and ... and inc(xk, e), whose steps
+ask for an edge on which every xi is flagged and so never need a scope
+with e.  psi and x = x is psi when x is free in psi.  Every other
+boolean step is one construction, `subset_product`: the validity
+automaton of the node's scope in product with subset simulations of the
+operands, each lifted to that scope by reading symbols through a
+flag-erasure map.  It computes and, or, negation relative to validity,
+and the lift of an operand into a scope with a variable it does not use.
 Existential quantification is flag erasure (projection), and a final
 erasure to the plain bag alphabet yields the sentence automaton.
 """
@@ -550,7 +556,10 @@ def subset_product(val, sims, mode, budget):
                               "not" if mode == "not" else "combine")
 
 
-def _pointwise_steps(pred):
+def _pointwise_steps(pred, negated=False):
+    """Steps of an atom that holds at a term iff pred holds at every
+    symbol. They reject where pred fails; negated, a sticky "failed" bit
+    takes the place of rejecting, and the final test asks for it."""
     cache = {}
 
     def ok(sym):
@@ -559,6 +568,18 @@ def _pointwise_steps(pred):
             r = pred(sym)
             cache[sym] = r
         return r
+
+    if negated:
+        def leaf_f(sym):
+            return 0 if ok(sym) else 1
+
+        def unary_f(m, sym):
+            return m if ok(sym) else 1
+
+        def binary_f(m1, m2, sym):
+            return m1 | m2 if ok(sym) else 1
+
+        return leaf_f, unary_f, binary_f, lambda m: m == 1
 
     def leaf_f(sym):
         return 0 if ok(sym) else None
@@ -572,72 +593,103 @@ def _pointwise_steps(pred):
     return leaf_f, unary_f, binary_f, lambda m: True
 
 
+def _incidence_steps(xs, edge=None):
+    """Steps of the bit "some position realizes an edge b on which every
+    vertex variable of xs is flagged", where the edge variable `edge` is
+    flagged too unless it is None. inc(x, e) is ((x,), e); with edge None
+    they run exists e. inc(x1, e) and ... and inc(xk, e) over xs alone."""
+    cache = {}
+
+    def witness(sym):
+        r = cache.get(sym)
+        if r is None:
+            b = sym.bag.b
+            on_b = {z for z, s in sym.vflags if s in b}
+            r = cache[sym] = int(bool(b) and (edge is None or edge in sym.eflags)
+                                 and all(x in on_b for x in xs))
+        return r
+
+    return (witness,
+            lambda m, sym: m | witness(sym),
+            lambda m1, m2, sym: m1 | m2 | witness(sym),
+            lambda m: m == 1)
+
+
 def _vertex_flags(sym, var):
     return frozenset(s for z, s in sym.vflags if z == var)
 
 
-def _atom_steps(phi):
-    """Step functions for an atomic formula, to be run against validity."""
+_ATOMS = (VarEq, MemV, MemE, Inc, Card)
+
+
+def _atom_steps(phi, negated=False):
+    """Step functions for an atomic formula, to be run against validity.
+
+    Negated, they are those of the atom's complement relative to
+    validity: the steps never reject and the final test is negated."""
     if isinstance(phi, VarEq):
         z1, z2 = phi.left, phi.right
         if z1.kind.is_vertex_sort:
             return _pointwise_steps(
-                lambda sym: _vertex_flags(sym, z1) == _vertex_flags(sym, z2))
+                lambda sym: _vertex_flags(sym, z1) == _vertex_flags(sym, z2),
+                negated)
         return _pointwise_steps(
-            lambda sym: (z1 in sym.eflags) == (z2 in sym.eflags))
+            lambda sym: (z1 in sym.eflags) == (z2 in sym.eflags), negated)
     if isinstance(phi, MemV):
         x, big = phi.elem, phi.container
         return _pointwise_steps(
-            lambda sym: _vertex_flags(sym, x) <= _vertex_flags(sym, big))
+            lambda sym: _vertex_flags(sym, x) <= _vertex_flags(sym, big),
+            negated)
     if isinstance(phi, MemE):
         y, big = phi.elem, phi.container
         return _pointwise_steps(
-            lambda sym: (y not in sym.eflags) or (big in sym.eflags))
+            lambda sym: (y not in sym.eflags) or (big in sym.eflags), negated)
     if isinstance(phi, Inc):
-        x, y = phi.vertex, phi.edge
+        steps = _incidence_steps((phi.vertex,), phi.edge)
+    elif isinstance(phi, Card):
+        steps = _card_steps(phi)
+    else:
+        raise CmsoKindError(f"not an atomic formula: {phi!r}")
+    if negated:  # these steps never reject
+        leaf_f, unary_f, binary_f, final_f = steps
+        return leaf_f, unary_f, binary_f, lambda m: not final_f(m)
+    return steps
 
-        def witness(sym):
-            if y not in sym.eflags:
-                return 0
-            b = sym.bag.b
-            return 1 if any(z == x and s in b for z, s in sym.vflags) else 0
 
-        return (lambda sym: witness(sym),
-                lambda m, sym: m | witness(sym),
-                lambda m1, m2, sym: m1 | m2 | witness(sym),
-                lambda m: m == 1)
-    if isinstance(phi, Card):
-        a, r, zv = phi.a, phi.r, phi.setvar
-        if zv.kind == VarKind.EDGE_SET:
-            def cnt(sym):
-                return 1 if zv in sym.eflags else 0
+def _card_steps(phi):
+    """Steps of card(r, a, Z): |Z| mod r, counted as flags are read (edge
+    sets) or as flagged components close (vertex sets). They never
+    reject."""
+    a, r, zv = phi.a, phi.r, phi.setvar
+    if zv.kind == VarKind.EDGE_SET:
+        def cnt(sym):
+            return 1 if zv in sym.eflags else 0
 
-            return (lambda sym: cnt(sym) % r,
-                    lambda m, sym: (m + cnt(sym)) % r,
-                    lambda m1, m2, sym: (m1 + m2 + cnt(sym)) % r,
-                    lambda m: m == a)
+        return (lambda sym: cnt(sym) % r,
+                lambda m, sym: (m + cnt(sym)) % r,
+                lambda m1, m2, sym: (m1 + m2 + cnt(sym)) % r,
+                lambda m: m == a)
 
-        # vertex-set cardinality: count flagged components as they close
-        def leaf_f(sym):
-            return (sym.bag.B, _vertex_flags(sym, zv), 0)
+    # vertex-set cardinality: count flagged components as they close
+    def leaf_f(sym):
+        return (sym.bag.B, _vertex_flags(sym, zv), 0)
 
-        def unary_f(m, sym):
-            newB = sym.bag.B
-            closing = sum(1 for s in m[1] if s not in newB)
-            return (newB, _vertex_flags(sym, zv), (m[2] + closing) % r)
+    def unary_f(m, sym):
+        newB = sym.bag.B
+        closing = sum(1 for s in m[1] if s not in newB)
+        return (newB, _vertex_flags(sym, zv), (m[2] + closing) % r)
 
-        def binary_f(m1, m2, sym):
-            newB = sym.bag.B
-            closing = sum(1 for s in m1[1] if s not in newB)
-            closing += sum(1 for s in m2[1] if s not in newB)
-            return (newB, _vertex_flags(sym, zv),
-                    (m1[2] + m2[2] + closing) % r)
+    def binary_f(m1, m2, sym):
+        newB = sym.bag.B
+        closing = sum(1 for s in m1[1] if s not in newB)
+        closing += sum(1 for s in m2[1] if s not in newB)
+        return (newB, _vertex_flags(sym, zv),
+                (m1[2] + m2[2] + closing) % r)
 
-        def final_f(m):
-            return (m[2] + len(m[1])) % r == a
+    def final_f(m):
+        return (m[2] + len(m[1])) % r == a
 
-        return leaf_f, unary_f, binary_f, final_f
-    raise CmsoKindError(f"not an atomic formula: {phi!r}")
+    return leaf_f, unary_f, binary_f, final_f
 
 
 class _Compiler:
@@ -667,6 +719,12 @@ class _Compiler:
         return self.shrink(subset_product(self.validity(xs), sims, mode,
                                           self.budget))
 
+    def steps(self, xs, steps):
+        """`functional_product` of validity(xs) with atom-shaped steps,
+        shrunk."""
+        return self.shrink(functional_product(
+            self.validity(xs), *steps, self.budget, "atom"))
+
     def go(self, phi):
         cached = self.memo.get(phi)
         if cached is not None:
@@ -676,18 +734,32 @@ class _Compiler:
         return out
 
     def dispatch(self, phi):
+        """Automaton for phi over exactly its free variables.
+
+        An atom, and the negation of one, is a `functional_product` of
+        validity with the atom's steps; its complement relative to
+        validity negates the final test of steps that never reject, so no
+        subset construction runs. psi and x = x is psi when x is free in
+        psi, since psi's automaton already lies inside validity. Every
+        other boolean step is a `combine`."""
         xs = _xtuple(free_vars(phi))
         if isinstance(phi, TrueF):
             return self.validity(xs)
         if isinstance(phi, FalseF):
             return TreeAutomaton(interpreted_alphabet(self.t, xs), (), (), ())
-        if isinstance(phi, (VarEq, MemV, MemE, Inc, Card)):
-            return self.shrink(functional_product(
-                self.validity(xs), *_atom_steps(phi), self.budget, "atom"))
+        if isinstance(phi, _ATOMS):
+            return self.steps(xs, _atom_steps(phi))
         if isinstance(phi, Not):
             if isinstance(phi.body, Not):
                 return self.go(phi.body.body)
+            if isinstance(phi.body, _ATOMS):
+                return self.steps(xs, _atom_steps(phi.body, negated=True))
             return self.combine("not", xs, (self.go(phi.body), xs))
+        if isinstance(phi, And):
+            for psi, eq in ((phi.left, phi.right), (phi.right, phi.left)):
+                if (isinstance(eq, VarEq) and eq.left == eq.right
+                        and eq.left in free_vars(psi)):
+                    return self.go(psi)
         if isinstance(phi, (And, Or)):
             mode = "and" if isinstance(phi, And) else "or"
             a = self.go(phi.left)
@@ -725,16 +797,24 @@ class _Compiler:
         raise CmsoKindError(f"not a formula: {phi!r}")
 
     def exists(self, var, body):
-        """Automaton for (exists var. body) over free(body) minus var."""
-        if _vacuous_set_binder(var, free_vars(body)):
+        """Automaton for (exists var. body) over free(body) minus var.
+
+        exists e. inc(x1, e) and ... and inc(xk, e), for an FO edge
+        variable e, runs the incidence steps without e against
+        validity(x1..xk) and never builds the scope with e in it."""
+        scope = free_vars(body)
+        if _vacuous_set_binder(var, scope):
             return self.go(body)
         z = _eq_partner(var, body)
         if z is not None:
             # exists w (psi /\ w = z)  ==  psi[w := z]; one variable less
             # in every scope below makes the alphabets drastically smaller
             return self.go(substitute(body, var, z))
+        xs = _incident_to(var, body)
+        if xs is not None:
+            return self.steps(xs, _incidence_steps(xs))
         inner = self.go(body)
-        aut, _ = self.project_var(var, inner, _xtuple(free_vars(body)))
+        aut, _ = self.project_var(var, inner, _xtuple(scope))
         return aut
 
     def project_var(self, var, aut, body_xs):
@@ -757,6 +837,25 @@ def _vacuous_set_binder(var, scope):
     variable A is not free in psi, since the empty set always exists. A
     vacuous first-order binder still asks for some vertex or edge."""
     return var.kind.is_set and var not in scope
+
+
+def _incident_to(var, body):
+    """The vertex variables x1..xk when var is an FO edge variable and
+    body is inc(x1, var) and ... and inc(xk, var), else None."""
+    if var.kind != VarKind.EDGE:
+        return None
+    xs = set()
+    stack = [body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, And):
+            stack.append(node.left)
+            stack.append(node.right)
+        elif isinstance(node, Inc) and node.edge == var:
+            xs.add(node.vertex)
+        else:
+            return None
+    return _xtuple(xs)
 
 
 def _eq_partner(var, body):

@@ -17,13 +17,13 @@ from pathlib import Path
 
 import pytest
 
-from supertw.cmso.ast import (And, Card, Exists, Forall, Inc, MemV, Not, Or,
-                              Var, VarEq, VarKind)
-from supertw.cmso.compile import (_COMPILE_CACHE, _SubsetSim, _atom_steps,
-                                  _erase_map, compile as compile_formula,
-                                  compile_open, functional_product,
-                                  interpreted_alphabet, subset_product,
-                                  validity_automaton)
+from supertw.cmso.ast import (And, Card, Exists, Forall, Inc, MemE, MemV,
+                              Not, Or, Var, VarEq, VarKind, free_vars)
+from supertw.cmso.compile import (_COMPILE_CACHE, _Compiler, _SubsetSim,
+                                  _atom_steps, _erase_map, _xtuple,
+                                  compile as compile_formula, compile_open,
+                                  functional_product, interpreted_alphabet,
+                                  subset_product, validity_automaton)
 from supertw.cmso.evaluate import eval_direct
 from supertw.cmso.generators import (even_order, gen_diam, gen_vertex_cover,
                                      no_isolated_vertex, some_vertex,
@@ -35,6 +35,7 @@ from supertw.errors import (AlphabetMismatchError, CmsoKindError,
 from supertw.solver import clear_caches
 from supertw.terms import enumerate_terms, map_symbols
 from supertw.tree_automata import (TreeAutomaton, accepts, intersect,
+                                   intersection_nonempty,
                                    reduce_bisim, run, to_json, trim)
 from supertw.util import Budget
 from corpus import collections_inside
@@ -252,9 +253,29 @@ def test_validity_automaton_matches_brute_force(kind):
         assert accepts(aut, tm) == brute_valid(tm, (x,)), repr(tm)
 
 
-def check_open_against_eval(aut, phi, x, t, scope):
+def flagged_assignment(tm, scope):
+    """The value of each variable of scope on the canonical term tm, as
+    eval_direct reads it on the decoded graph: a vertex is (label, root
+    of its s-maximal component), an edge the position that realizes it."""
+    plain = map_symbols(lambda s: s.bag, tm)
+    labels = {s for p in plain.positions() for s in plain.symbol_at(p).B}
+    cells = [((s, root), {(p, s) for p in members}) for s in labels
+             for root, members in s_maximal_components(plain, s)]
+    out = {}
+    for x in scope:
+        value = flag_positions(tm, x)
+        if x.kind.is_vertex_sort:
+            value = {v for v, cell in cells if cell <= value}
+        if not x.kind.is_set:
+            assert len(value) == 1
+            value = next(iter(value))
+        out[x] = value
+    return out
+
+
+def check_open_against_eval(aut, phi, t, scope):
     """aut, over the flags of scope, accepts exactly the canonical terms
-    whose decoded graph satisfies phi under the vertex x they flag."""
+    whose decoded graph satisfies phi under the values they flag."""
     valid = validity_automaton(t, scope)
     for tm in enumerate_terms(interpreted_alphabet(t, scope), 2):
         got = accepts(aut, tm)
@@ -262,23 +283,15 @@ def check_open_against_eval(aut, phi, x, t, scope):
             assert not got and not brute_valid(tm, scope)
             continue
         assert brute_valid(tm, scope)
-        plain = map_symbols(lambda s: s.bag, tm)
-        g = decode_graph(plain)
-        flags = flag_positions(tm, x)
-        value = None
-        for s in {s for _p, s in flags}:
-            for root, members in s_maximal_components(plain, s):
-                if {(p, s) for p in members} == flags:
-                    value = (s, root)
-        assert value is not None
-        assert got == eval_direct(phi, g, {x: value})
+        g = decode_graph(map_symbols(lambda s: s.bag, tm))
+        assert got == eval_direct(phi, g, flagged_assignment(tm, scope))
 
 
 def test_compile_open_agrees_with_assignment_eval():
     x = Var("x", VarKind.VERTEX)
     y = Var("y", VarKind.EDGE)
     phi = Exists(y, Inc(x, y))  # "x is not isolated", x free
-    check_open_against_eval(compile_open(phi, 2, (x,)), phi, x, 2, (x,))
+    check_open_against_eval(compile_open(phi, 2, (x,)), phi, 2, (x,))
 
 
 def test_compile_open_lifts_into_a_wider_scope():
@@ -291,12 +304,13 @@ def test_compile_open_lifts_into_a_wider_scope():
     clear_caches()
     budget = Budget(None)
     aut = compile_open(phi, 2, (x, es), budget)
-    check_open_against_eval(aut, phi, x, 2, (x, es))
-    # as the unrolled one-operand steps built it
+    check_open_against_eval(aut, phi, 2, (x, es))
+    # as the unrolled one-operand steps built it; the charge is that of
+    # the incidence steps over validity(x), which never asks for (x, y)
     text = json.dumps(to_json(aut), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "b9c574d58eae3cf769b07971cf33d7a2dc814e6d9bf1e43eb6a59e3a4cb80b56")
-    assert budget.used == 4608
+    assert budget.used == 2690
 
 
 # --- dense product ids change nothing -------------------------------------
@@ -501,34 +515,126 @@ def test_product_meets_each_pair_once(name):
         assert len(set(prod.transitions)) == len(prod.transitions)
 
 
+# --- atom-shaped subformulas run as step machines ------------------------
+
+def generic(phi, t, scope):
+    """phi's automaton over scope as `combine` and projection build it
+    without the step machines, and its charge: a negated atom as the "not"
+    of the atom, exists e. inc(x, e) and ... as the projection of the
+    conjunction, psi and x = x as the "and" of both. Builds from empty
+    caches, so the charge is a cold one."""
+    clear_caches()
+    comp = _Compiler(t, Budget(None))
+
+    def operand(f):
+        return comp.go(f), _xtuple(free_vars(f))
+
+    own = _xtuple(free_vars(phi))
+    if isinstance(phi, Not):
+        aut = comp.combine("not", own, operand(phi.body))
+    elif isinstance(phi, Exists):
+        aut, _ = comp.project_var(phi.var, *operand(phi.body))
+    else:
+        aut = comp.combine("and", own, operand(phi.left), operand(phi.right))
+    if own != scope:
+        aut = comp.combine("and", scope, (aut, own))
+    return aut, comp.budget.used
+
+
+def same_language(a, b, val):
+    """L(a) == L(b) for automata inside L(val): neither meets the other's
+    complement relative to val."""
+    return not any(intersection_nonempty(
+        x, subset_product(val, [_SubsetSim(y)], "not", Budget(None)))
+        for x, y in ((a, b), (b, a)))
+
+
+_F = Var("f", VarKind.EDGE)
+STEP_MACHINES = {
+    "adjacent": (Exists(_F, And(Inc(_X, _F), Inc(_Y, _F))), None),
+    "adjacent_to_itself": (Exists(_F, And(Inc(_X, _F), Inc(_X, _F))), None),
+    "not_isolated_in_vertex_scope": (Exists(_F, Inc(_X, _F)), (_X, _Y)),
+    "not_isolated_in_set_scope": (Exists(_F, Inc(_X, _F)), (_X, _XS)),
+    "not_isolated_in_edge_set_scope": (Exists(_F, Inc(_X, _F)), (_X, _ES)),
+    "not_eq_vertex": (Not(VarEq(_X, _Y)), None),
+    "not_eq_edge": (Not(VarEq(_F, _E)), None),
+    "not_mem_vertex": (Not(MemV(_X, _XS)), None),
+    "not_mem_edge": (Not(MemE(_F, _ES)), None),
+    "not_inc": (Not(Inc(_X, _F)), None),
+    "not_card_edge_set": (Not(Card(0, 2, _ES)), None),
+    "not_card_vertex_set": (Not(Card(1, 2, _XS)), None),
+    "psi_and_x_eq_x": (And(Exists(_F, Inc(_X, _F)), VarEq(_X, _X)), None),
+    "x_eq_x_and_psi": (And(VarEq(_X, _X), MemV(_X, _XS)), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_MACHINES))
+def test_step_machine_matches_generic_path(name):
+    # the step machine is right against the evaluator, accepts what the
+    # generic path does at t=2, and charges less than it
+    phi, scope = STEP_MACHINES[name]
+    scope = _xtuple(scope or free_vars(phi))
+    clear_caches()
+    budget = Budget(None)
+    aut = compile_open(phi, 2, scope, budget)
+    check_open_against_eval(aut, phi, 2, scope)
+    want, charged = generic(phi, 2, scope)
+    assert same_language(aut, want, validity_automaton(2, scope))
+    assert budget.used < charged
+
+
+def test_x_eq_x_stays_where_x_is_not_free_in_psi():
+    # x = x asks for a vertex that psi does not flag: the "and" stays
+    phi = And(Card(1, 2, _XS), VarEq(_X, _X))
+    scope = _xtuple(free_vars(phi))
+    clear_caches()
+    budget = Budget(None)
+    aut = compile_open(phi, 2, scope, budget)
+    check_open_against_eval(aut, phi, 2, scope)
+    want, charged = generic(phi, 2, scope)
+    assert to_json(aut) == to_json(want)
+    assert budget.used == charged
+
+
 # SHA-256 of the canonical JSON of compile(phi, 3) as the generic kernels
-# over (q, m) pair states built it: dense ids may not move a byte
+# over (q, m) pair states built it: dense ids may not move a byte. And the
+# charge of that compile, as the step machines for exists e. inc /\ inc,
+# negated atoms and psi /\ x = x build it: a scope with the edge variable
+# of `adjacent`, or a subset construction over an atom, raises it
 FORMULA_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "formulas"
 PINNED_COMPILE = {
     "diam1": (lambda: gen_diam(1),
-              "2015c9057c01fcb69b8c174a0384948681f8f8f93fb486b17eaf9439d7817d06"),
+              "2015c9057c01fcb69b8c174a0384948681f8f8f93fb486b17eaf9439d7817d06",
+              220057),
     "vc1": (lambda: gen_vertex_cover(1),
-            "365916bb06b270062c6cf276e00dbb98e446ca666372cbd43289741695f0e22a"),
+            "365916bb06b270062c6cf276e00dbb98e446ca666372cbd43289741695f0e22a",
+            72666),
     "even_order": (lambda: parse((FORMULA_DIR / "even_order.cmso").read_text()),
-                   "42ac45d860fde03ce9523348f1d97152bae1e0449b315b6568e668800075cf0b"),
+                   "42ac45d860fde03ce9523348f1d97152bae1e0449b315b6568e668800075cf0b",
+                   209336),
     "no_isolated_vertex": (
         lambda: parse((FORMULA_DIR / "no_isolated_vertex.cmso").read_text()),
-        "6f20800f982a54d8ccaf8c48521ada749abfde9fb3adc3c1a7ad9c4e9285adac"),
+        "6f20800f982a54d8ccaf8c48521ada749abfde9fb3adc3c1a7ad9c4e9285adac",
+        70751),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_COMPILE))
 def test_compiled_formula_pinned(name):
-    make, digest = PINNED_COMPILE[name]
+    make, digest, charged = PINNED_COMPILE[name]
     clear_caches()  # a real build, not a cache hit
-    text = json.dumps(to_json(compile_formula(make(), 3)), sort_keys=True)
+    budget = Budget(None)
+    text = json.dumps(to_json(compile_formula(make(), 3, budget)),
+                      sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert budget.used == charged
 
 
 # SHA-256 of the canonical JSON of validity_automaton(3, xs) and its
-# charge, for every scope that compile(phi, 3) asks for with the four
-# benchmark formulas, as the tuple states (B, vflags, closed, eseen) built
-# them: numbering the states may not move a byte
+# charge, for every scope that compile(phi, 3) asked for with the four
+# benchmark formulas before atom-shaped subformulas ran as step machines,
+# as the tuple states (B, vflags, closed, eseen) built them: numbering the
+# states may not move a byte
 PINNED_VALIDITY = {
     (): ("fcc48a53307e8affad3320d58c0c136b1add77c635df628077a9a7c8fcef0a6f",
          1022),
@@ -562,6 +668,19 @@ PINNED_VALIDITY = {
 }
 
 
+# the scopes compile(phi, 3) asks validity for today: neither the edge
+# variable of `adjacent` nor the v = v conjunct that substituting diam=1's
+# w = v leaves gets one
+COMPILE_SCOPES = {
+    (),
+    (("_q0", "v"),),
+    (("_q0", "vs"),),
+    (("_q0", "v"), ("_q1", "e")),
+    (("_q0", "v"), ("_q1", "v")),
+    (("_q0", "vs"), ("_q1", "v")),
+}
+
+
 def test_pinned_validity_scopes_are_those_compile_asks_for(monkeypatch):
     asked = set()
 
@@ -571,10 +690,11 @@ def test_pinned_validity_scopes_are_those_compile_asks_for(monkeypatch):
 
     monkeypatch.setattr(sys.modules[validity_automaton.__module__],
                         "validity_automaton", recording)
-    for make, _digest in PINNED_COMPILE.values():
+    for make, _digest, _charged in PINNED_COMPILE.values():
         clear_caches()
         compile_formula(make(), 3)
-    assert asked == set(PINNED_VALIDITY)
+    assert asked == COMPILE_SCOPES
+    assert COMPILE_SCOPES <= set(PINNED_VALIDITY)
 
 
 @pytest.mark.parametrize("scope", sorted(PINNED_VALIDITY), ids=lambda scope: (
@@ -597,7 +717,7 @@ def test_compile_memory_bounded():
     # when the validity states, the product's rule index and the cached
     # subsets are ints and shared objects; one tuple or frozenset per
     # transition or cache entry breaks the bound
-    make, _digest = PINNED_COMPILE["no_isolated_vertex"]
+    make, _digest, _charged = PINNED_COMPILE["no_isolated_vertex"]
     phi = make()
     clear_caches()
     tracemalloc.start()
@@ -621,17 +741,18 @@ VACUOUS = [
 
 # SHA-256 of the canonical JSON of compile(phi, 3) and its charge. The
 # digests are those the unrolled one-operand steps built; the two set
-# binders charge what their body forall v x. exists e y. inc(x, y) does.
+# binders charge what their body forall v x. exists e y. inc(x, y) does,
+# with exists e y. inc(x, y) run as incidence steps over validity(x).
 PINNED_LIFT = {
     VACUOUS[0]: (
         "d1dee6811f6820f4bc3d8c54e317a341d4e62df7d69aa9ccdb926da4944ca11a",
         12856),
     VACUOUS[1]: (
         "6f20800f982a54d8ccaf8c48521ada749abfde9fb3adc3c1a7ad9c4e9285adac",
-        103846),
+        70751),
     "forall vs A. forall v x. exists e y. inc(x, y)": (
         "6f20800f982a54d8ccaf8c48521ada749abfde9fb3adc3c1a7ad9c4e9285adac",
-        103846),
+        70751),
 }
 
 
