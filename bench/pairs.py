@@ -20,9 +20,11 @@ end-to-end metric of `BENCHMARK.json`, both medians, their ratio
 the change wins, the metric's `bound` and a `verdict` against it: "worse"
 if the change's median is worse by more than the bound, "unresolved" if
 the parent's quartile spread exceeds the bound times the parent's median
-and some change run is not better than every parent run, else "holds";
-per instance label (`instance_summary`), both sides' median across pairs
-and the pairs the change wins; each side's total of failed operations
+and some change run is not better than every parent run, else "holds",
+and for an "unresolved" solve-time metric an `instance_verdict` read on
+the per-instance medians instead; per instance label
+(`instance_summary`), both sides' median across pairs and the pairs the
+change wins; each side's total of failed operations
 over all pairs; and each checkout's `src` line count.
 """
 
@@ -110,9 +112,21 @@ def verdict(parent, change, sign, bound):
     return "holds"
 
 
-def summarize(pairs, metrics):
+def instance_verdict(instances, bound):
+    """"worse" if some instance's change median solve time is worse than
+    its parent median by more than `bound` times it, else "holds"."""
+    worse = any(s["change_median"] - s["parent_median"] > bound * s["parent_median"]
+                for s in instances.values())
+    return "worse" if worse else "holds"
+
+
+def summarize(pairs, metrics, instances):
     """Per end-to-end metric of BENCHMARK.json: medians, their ratio, the
-    parent's quartile spread, pairs the change wins and the bound verdict."""
+    parent's quartile spread, pairs the change wins and the bound verdict.
+    A solve-time metric (`solve_s_*`) that reads "unresolved" also gets
+    the `instance_verdict` of `instances` (`summarize_instances`): its
+    pooled samples are the solves, which the per-instance medians split
+    by instance, so one instance's spread no longer hides another's."""
     out = {}
     for name, spec in metrics.items():
         parent = [p["parent"][name] for p in pairs]
@@ -126,6 +140,8 @@ def summarize(pairs, metrics):
                      "change_wins": wins, "pairs": len(pairs),
                      "bound": spec["bound"],
                      "verdict": verdict(parent, change, sign, spec["bound"])}
+        if out[name]["verdict"] == "unresolved" and name.startswith("solve_s"):
+            out[name]["instance_verdict"] = instance_verdict(instances, spec["bound"])
     return out
 
 
@@ -177,12 +193,13 @@ def main(argv=None):
 
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
+    instances = summarize_instances(pairs)
     doc.setdefault("workloads", {})[args.workload] = {
         "seconds": args.seconds, "pairs": pairs,
         "failed": {side: sum(p[side]["failed"] for p in pairs)
                    for side in ("parent", "change")},
-        "summary": summarize(pairs, metrics),
-        "instance_summary": summarize_instances(pairs)}
+        "summary": summarize(pairs, metrics, instances),
+        "instance_summary": instances}
     doc["src_lines"] = {"parent": src_lines(args.parent),
                         "change": src_lines(args.change)}
     doc["host"] = {"python": platform.python_version(), "nproc": os.cpu_count()}

@@ -18,20 +18,23 @@ complement, are sound:
 
 The validity automaton accepts exactly the canonical interpreted terms.
 Each subformula is compiled over exactly its own free variables, which
-keeps alphabets minimal deep in the formula.  Atom-shaped subformulas
-are step machines run against the validity automaton of their scope by
-`functional_product`: an atom; the negation of an atom, whose steps never
-reject, so that flipping the final test complements it relative to
-validity; and exists e. inc(x1, e) and ... and inc(xk, e), whose steps
-ask for an edge on which every xi is flagged and so never need a scope
-with e.  psi and x = x is psi when x is free in psi.  Every other
-boolean step is one construction, `subset_product`: the validity
+keeps alphabets minimal deep in the formula.  A step-shaped subformula
+is one step machine run against the validity automaton of its scope by
+`functional_product` (`_step_machine`): any boolean combination of
+atoms, of exists e. inc(x1, e) and ... and inc(xk, e) (an edge on which
+every xi is flagged, so no scope with e), and of forall x. P(x) for the
+atoms P that make it pointwise over the outer scope (x in A, e in E,
+inc(x, e) bound at e).  Its state is the tuple of the atoms' states,
+which never reject except where a sticky bit dooms the whole formula, so
+negation flips a final test and no subset construction runs.  Every
+other boolean step is one construction, `subset_product`: the validity
 automaton of the node's scope in product with subset simulations of the
 operands, each lifted to that scope by reading symbols through a
 flag-erasure map.  It computes and, or, negation relative to validity,
 and the lift of an operand into a scope with a variable it does not use.
-Existential quantification is flag erasure (projection), and a final
-erasure to the plain bag alphabet yields the sentence automaton.
+Existential quantification is flag erasure (projection), one per
+quantifier block, and a final erasure to the plain bag alphabet yields
+the sentence automaton.
 """
 
 from __future__ import annotations
@@ -556,104 +559,173 @@ def subset_product(val, sims, mode, budget):
                               "not" if mode == "not" else "combine")
 
 
-def _pointwise_steps(pred, negated=False):
-    """Steps of an atom that holds at a term iff pred holds at every
-    symbol. They reject where pred fails; negated, a sticky "failed" bit
-    takes the place of rejecting, and the final test asks for it."""
+def _sticky_steps(bit, decides, dooms):
+    """Steps of a sticky bit, set by the first symbol where bit(sym)
+    holds, that decides its formula to `decides` once set; until then the
+    formula is the opposite. When that value dooms the whole formula
+    (`_step_machine`) the steps reject where the bit would be set, and the
+    final test is the opposite throughout."""
     cache = {}
 
-    def ok(sym):
+    def hit(sym):
         r = cache.get(sym)
         if r is None:
-            r = pred(sym)
-            cache[sym] = r
+            r = cache[sym] = int(bit(sym))
         return r
 
-    if negated:
-        def leaf_f(sym):
-            return 0 if ok(sym) else 1
-
-        def unary_f(m, sym):
-            return m if ok(sym) else 1
-
-        def binary_f(m1, m2, sym):
-            return m1 | m2 if ok(sym) else 1
-
-        return leaf_f, unary_f, binary_f, lambda m: m == 1
-
-    def leaf_f(sym):
-        return 0 if ok(sym) else None
-
-    def unary_f(m, sym):
-        return 0 if ok(sym) else None
-
-    def binary_f(m1, m2, sym):
-        return 0 if ok(sym) else None
-
-    return leaf_f, unary_f, binary_f, lambda m: True
+    if dooms == decides:
+        return (lambda sym: None if hit(sym) else 0,
+                lambda m, sym: None if hit(sym) else 0,
+                lambda m1, m2, sym: None if hit(sym) else 0,
+                lambda m: not decides)
+    return (hit,
+            lambda m, sym: m | hit(sym),
+            lambda m1, m2, sym: m1 | m2 | hit(sym),
+            lambda m: (m == 1) == decides)
 
 
-def _incidence_steps(xs, edge=None):
-    """Steps of the bit "some position realizes an edge b on which every
-    vertex variable of xs is flagged", where the edge variable `edge` is
-    flagged too unless it is None. inc(x, e) is ((x,), e); with edge None
-    they run exists e. inc(x1, e) and ... and inc(xk, e) over xs alone."""
-    cache = {}
-
-    def witness(sym):
-        r = cache.get(sym)
-        if r is None:
-            b = sym.bag.b
-            on_b = {z for z, s in sym.vflags if s in b}
-            r = cache[sym] = int(bool(b) and (edge is None or edge in sym.eflags)
-                                 and all(x in on_b for x in xs))
-        return r
-
-    return (witness,
-            lambda m, sym: m | witness(sym),
-            lambda m1, m2, sym: m1 | m2 | witness(sym),
-            lambda m: m == 1)
+def _incidence_bit(xs, edge=None):
+    """Whether a symbol realizes an edge b on which every vertex variable
+    of xs is flagged, with the edge variable `edge` flagged too unless it
+    is None. inc(x, e) is ((x,), e); with edge None it is the bit of
+    exists e. inc(x1, e) and ... and inc(xk, e) over xs alone."""
+    def bit(sym):
+        b = sym.bag.b
+        on_b = {z for z, s in sym.vflags if s in b}
+        return bool(b) and (edge is None or edge in sym.eflags) and all(
+            x in on_b for x in xs)
+    return bit
 
 
 def _vertex_flags(sym, var):
     return frozenset(s for z, s in sym.vflags if z == var)
 
 
-_ATOMS = (VarEq, MemV, MemE, Inc, Card)
+def _pointwise_pred(phi):
+    """The predicate of a pointwise phi, one that holds at a term iff its
+    predicate holds at every symbol, else None.
 
-
-def _atom_steps(phi, negated=False):
-    """Step functions for an atomic formula, to be run against validity.
-
-    Negated, they are those of the atom's complement relative to
-    validity: the steps never reject and the final test is negated."""
+    The atoms =, x in X and e in E are pointwise. So is forall x. P(x)
+    when P is a pointwise atom that holds wherever x is unflagged: each
+    position then holds the flags of every placement of x that meets it,
+    and the predicate asks that each of them satisfy P. The cases are
+    x in A (a placement at each label s in B), e in E and inc(x, e) bound
+    at e (a placement at the position's edge, if it has one): an FO edge
+    e is flagged at one position, so inc(x, e) holds iff x is flagged on
+    the edge b wherever e is."""
     if isinstance(phi, VarEq):
         z1, z2 = phi.left, phi.right
         if z1.kind.is_vertex_sort:
-            return _pointwise_steps(
-                lambda sym: _vertex_flags(sym, z1) == _vertex_flags(sym, z2),
-                negated)
-        return _pointwise_steps(
-            lambda sym: (z1 in sym.eflags) == (z2 in sym.eflags), negated)
+            return lambda sym: _vertex_flags(sym, z1) == _vertex_flags(sym, z2)
+        return lambda sym: (z1 in sym.eflags) == (z2 in sym.eflags)
     if isinstance(phi, MemV):
         x, big = phi.elem, phi.container
-        return _pointwise_steps(
-            lambda sym: _vertex_flags(sym, x) <= _vertex_flags(sym, big),
-            negated)
+        return lambda sym: _vertex_flags(sym, x) <= _vertex_flags(sym, big)
     if isinstance(phi, MemE):
         y, big = phi.elem, phi.container
-        return _pointwise_steps(
-            lambda sym: (y not in sym.eflags) or (big in sym.eflags), negated)
-    if isinstance(phi, Inc):
-        steps = _incidence_steps((phi.vertex,), phi.edge)
-    elif isinstance(phi, Card):
-        steps = _card_steps(phi)
-    else:
-        raise CmsoKindError(f"not an atomic formula: {phi!r}")
-    if negated:  # these steps never reject
-        leaf_f, unary_f, binary_f, final_f = steps
-        return leaf_f, unary_f, binary_f, lambda m: not final_f(m)
-    return steps
+        return lambda sym: (y not in sym.eflags) or (big in sym.eflags)
+    if isinstance(phi, Forall):
+        var, body = phi.var, phi.body
+        if isinstance(body, MemV) and body.elem == var:
+            big = body.container
+            return lambda sym: sym.bag.B <= _vertex_flags(sym, big)
+        if isinstance(body, MemE) and body.elem == var:
+            big = body.container
+            return lambda sym: not sym.bag.b or big in sym.eflags
+        if isinstance(body, Inc) and body.edge == var:
+            x = body.vertex
+            return lambda sym: not sym.bag.b or bool(
+                _vertex_flags(sym, x) & sym.bag.b)
+    return None
+
+
+def _step_machine(phi):
+    """The steps of phi, to be run against validity, when it is
+    step-shaped, else None.
+
+    Step-shaped are the leaves: a pointwise formula (`_pointwise_pred`),
+    inc, card, and exists e. inc(x1, e) and ... and inc(xk, e) for an FO
+    edge variable e; exists w (psi and w = z), which is psi[w := z]; a
+    vacuous set binder over a step-shaped body; and any and, or, not,
+    implies and iff of step-shaped operands. The machine's state is the
+    tuple of its leaves' states (one leaf's state as is), and its final
+    test the boolean function of theirs. Steps read flags by variable,
+    so a leaf over a narrower scope reads the symbols of phi's scope
+    unchanged."""
+    parts = []
+
+    def build(node, dooms):
+        """node's final test over the machine's state, with node's leaves
+        appended to parts; None if node is not step-shaped. dooms is the
+        value of node, if any (True, False or None), that makes phi false:
+        a sticky bit that decides node to it rejects instead of being set.
+        Card steps never reject."""
+        if isinstance(node, Not):
+            test = build(node.body, None if dooms is None else not dooms)
+            return None if test is None else (lambda m: not test(m))
+        if isinstance(node, Implies):
+            return build(Or(Not(node.left), node.right), dooms)
+        if isinstance(node, And):
+            for psi, eq in ((node.left, node.right), (node.right, node.left)):
+                if isinstance(eq, VarEq) and eq.left == eq.right:
+                    return build(psi, dooms)  # true; x stays in the scope
+        if isinstance(node, (And, Or, Iff)):
+            # an operand false decides an and, true an or, none an iff
+            decides = isinstance(node, Or) if not isinstance(node, Iff) else None
+            keep = dooms if dooms == decides else None
+            left = build(node.left, keep)
+            right = None if left is None else build(node.right, keep)
+            if right is None:
+                return None
+            if isinstance(node, And):
+                return lambda m: left(m) and right(m)
+            if isinstance(node, Or):
+                return lambda m: left(m) or right(m)
+            return lambda m: left(m) == right(m)
+        if isinstance(node, (Exists, Forall)):
+            if _vacuous_set_binder(node.var, free_vars(node.body)):
+                return build(node.body, dooms)
+            z = _eq_partner(node.var, node.body) if isinstance(node, Exists) else None
+            if z is not None:
+                return build(substitute(node.body, node.var, z), dooms)
+        pred = _pointwise_pred(node)
+        if pred is not None:  # the bit "pred failed" decides node false
+            steps = _sticky_steps(lambda sym: not pred(sym), False, dooms)
+        elif isinstance(node, Inc):
+            steps = _sticky_steps(_incidence_bit((node.vertex,), node.edge),
+                                  True, dooms)
+        elif isinstance(node, Card):
+            steps = _card_steps(node)
+        else:
+            xs = _incident_to(node.var, node.body) if isinstance(node, Exists) else None
+            if xs is None:
+                return None
+            steps = _sticky_steps(_incidence_bit(xs), True, dooms)
+        i, final_f = len(parts), steps[3]
+        parts.append(steps)
+        return lambda m: final_f(m[i])
+
+    test = build(phi, False)
+    if test is None:
+        return None
+    if len(parts) == 1:
+        leaf_f, unary_f, binary_f, _ = parts[0]
+        return leaf_f, unary_f, binary_f, lambda m: test((m,))
+    leaves, unaries, binaries, _ = zip(*parts)
+
+    def leaf_f(sym):
+        out = tuple([f(sym) for f in leaves])
+        return None if None in out else out
+
+    def unary_f(m, sym):
+        out = tuple([f(a, sym) for f, a in zip(unaries, m)])
+        return None if None in out else out
+
+    def binary_f(m1, m2, sym):
+        out = tuple([f(a, b, sym) for f, a, b in zip(binaries, m1, m2)])
+        return None if None in out else out
+
+    return leaf_f, unary_f, binary_f, test
 
 
 def _card_steps(phi):
@@ -720,8 +792,8 @@ class _Compiler:
                                           self.budget))
 
     def steps(self, xs, steps):
-        """`functional_product` of validity(xs) with atom-shaped steps,
-        shrunk."""
+        """`functional_product` of validity(xs) with the steps of a
+        step-shaped formula, shrunk."""
         return self.shrink(functional_product(
             self.validity(xs), *steps, self.budget, "atom"))
 
@@ -736,30 +808,23 @@ class _Compiler:
     def dispatch(self, phi):
         """Automaton for phi over exactly its free variables.
 
-        An atom, and the negation of one, is a `functional_product` of
-        validity with the atom's steps; its complement relative to
-        validity negates the final test of steps that never reject, so no
-        subset construction runs. psi and x = x is psi when x is free in
-        psi, since psi's automaton already lies inside validity. Every
-        other boolean step is a `combine`."""
+        A step-shaped phi (`_step_machine`) is one `functional_product` of
+        validity with its steps: a boolean combination of atoms and of
+        atom-like formulas runs as one machine, with no product per
+        connective and no subset construction. Every other boolean step
+        is a `combine`."""
         xs = _xtuple(free_vars(phi))
         if isinstance(phi, TrueF):
             return self.validity(xs)
         if isinstance(phi, FalseF):
             return TreeAutomaton(interpreted_alphabet(self.t, xs), (), (), ())
-        if isinstance(phi, _ATOMS):
-            return self.steps(xs, _atom_steps(phi))
+        if isinstance(phi, Not) and isinstance(phi.body, Not):
+            return self.go(phi.body.body)
+        steps = _step_machine(phi)
+        if steps is not None:
+            return self.steps(xs, steps)
         if isinstance(phi, Not):
-            if isinstance(phi.body, Not):
-                return self.go(phi.body.body)
-            if isinstance(phi.body, _ATOMS):
-                return self.steps(xs, _atom_steps(phi.body, negated=True))
             return self.combine("not", xs, (self.go(phi.body), xs))
-        if isinstance(phi, And):
-            for psi, eq in ((phi.left, phi.right), (phi.right, phi.left)):
-                if (isinstance(eq, VarEq) and eq.left == eq.right
-                        and eq.left in free_vars(psi)):
-                    return self.go(psi)
         if isinstance(phi, (And, Or)):
             mode = "and" if isinstance(phi, And) else "or"
             a = self.go(phi.left)
@@ -789,19 +854,13 @@ class _Compiler:
             if not binders:
                 return self.go(body)
             inner = body.body if isinstance(body, Not) else Not(body)
-            aut = self.go(inner)
-            cur_xs = _xtuple(free_vars(inner))
-            for var in reversed(binders):
-                aut, cur_xs = self.project_var(var, aut, cur_xs)
+            aut, cur_xs = self.project_vars(
+                binders, self.go(inner), _xtuple(free_vars(inner)))
             return self.combine("not", xs, (aut, cur_xs))
         raise CmsoKindError(f"not a formula: {phi!r}")
 
     def exists(self, var, body):
-        """Automaton for (exists var. body) over free(body) minus var.
-
-        exists e. inc(x1, e) and ... and inc(xk, e), for an FO edge
-        variable e, runs the incidence steps without e against
-        validity(x1..xk) and never builds the scope with e in it."""
+        """Automaton for (exists var. body) over free(body) minus var."""
         scope = free_vars(body)
         if _vacuous_set_binder(var, scope):
             return self.go(body)
@@ -810,21 +869,18 @@ class _Compiler:
             # exists w (psi /\ w = z)  ==  psi[w := z]; one variable less
             # in every scope below makes the alphabets drastically smaller
             return self.go(substitute(body, var, z))
-        xs = _incident_to(var, body)
-        if xs is not None:
-            return self.steps(xs, _incidence_steps(xs))
-        inner = self.go(body)
-        aut, _ = self.project_var(var, inner, _xtuple(scope))
+        aut, _ = self.project_vars((var,), self.go(body), _xtuple(scope))
         return aut
 
-    def project_var(self, var, aut, body_xs):
-        """Erase one variable's flags; returns (automaton, its scope)."""
-        inner_xs = _xtuple(set(body_xs) | {var})
+    def project_vars(self, binders, aut, body_xs):
+        """Erase the binders' flags with one projection and one shrink;
+        returns (automaton, its scope)."""
+        inner_xs = _xtuple(set(body_xs) | set(binders))
         if body_xs != inner_xs:
             # vacuous first-order binder: lift so validity still demands
             # a vertex or an edge
             aut = self.combine("and", inner_xs, (aut, body_xs))
-        outer_xs = _xtuple(set(inner_xs) - {var})
+        outer_xs = _xtuple(set(inner_xs) - set(binders))
         target = interpreted_alphabet(self.t, outer_xs)
         erase = _erase_map(self.t, inner_xs, outer_xs)
         out = self.shrink(project(aut, lambda sym: erase[sym], target))

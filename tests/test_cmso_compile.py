@@ -17,10 +17,11 @@ from pathlib import Path
 
 import pytest
 
-from supertw.cmso.ast import (And, Card, Exists, Forall, Inc, MemE, MemV,
-                              Not, Or, Var, VarEq, VarKind, free_vars)
+from supertw.cmso.ast import (And, Card, Exists, Forall, Iff, Implies, Inc,
+                              MemE, MemV, Not, Or, Var, VarEq, VarKind,
+                              free_vars)
 from supertw.cmso.compile import (_COMPILE_CACHE, _Compiler, _SubsetSim,
-                                  _atom_steps, _erase_map, _xtuple,
+                                  _erase_map, _step_machine, _xtuple,
                                   compile as compile_formula, compile_open,
                                   functional_product, interpreted_alphabet,
                                   subset_product, validity_automaton)
@@ -394,8 +395,8 @@ def test_functional_product_matches_reference(name):
     phi, xs = ATOMS[name]
     val = validity_automaton(2, xs)
     new, ref = Budget(None), Budget(None)
-    atom = functional_product(val, *_atom_steps(phi), new, "atom")
-    want = functional_product_reference(val, *_atom_steps(phi), ref, "atom")
+    atom = functional_product(val, *_step_machine(phi), new, "atom")
+    want = functional_product_reference(val, *_step_machine(phi), ref, "atom")
     assert to_json(atom) == to_json(want)
     assert new.used == ref.used == len(atom.transitions)
     # the complement, as negation runs it: subset states of the reduced atom
@@ -475,7 +476,7 @@ def test_product_meets_each_pair_once(name):
     # state, so the reference's (q, m) states give the meetings expected.
     phi, xs = ATOMS[name]
     val = validity_automaton(2, xs)
-    leaf_f, unary_f, binary_f, final_f = _atom_steps(phi)
+    leaf_f, unary_f, binary_f, final_f = _step_machine(phi)
     seen = Counter()
 
     def counting_f(m1, m2, sym):
@@ -515,14 +516,15 @@ def test_product_meets_each_pair_once(name):
         assert len(set(prod.transitions)) == len(prod.transitions)
 
 
-# --- atom-shaped subformulas run as step machines ------------------------
+# --- step-shaped subformulas run as one step machine ---------------------
 
 def generic(phi, t, scope):
-    """phi's automaton over scope as `combine` and projection build it
-    without the step machines, and its charge: a negated atom as the "not"
-    of the atom, exists e. inc(x, e) and ... as the projection of the
-    conjunction, psi and x = x as the "and" of both. Builds from empty
-    caches, so the charge is a cold one."""
+    """phi's automaton over scope with its top connective built by
+    `combine` and projection, as before step machines, and its charge:
+    not, and, or and iff (as the "or" of both "and"s) by `combine`, exists
+    by a projection, and a forall block by one projection per binder and
+    a "not". The operands are compiled as `compile_open` compiles them.
+    Builds from empty caches, so the charge is a cold one."""
     clear_caches()
     comp = _Compiler(t, Budget(None))
 
@@ -533,9 +535,23 @@ def generic(phi, t, scope):
     if isinstance(phi, Not):
         aut = comp.combine("not", own, operand(phi.body))
     elif isinstance(phi, Exists):
-        aut, _ = comp.project_var(phi.var, *operand(phi.body))
+        aut, _ = comp.project_vars((phi.var,), *operand(phi.body))
+    elif isinstance(phi, Forall):
+        binders, body = [], phi
+        while isinstance(body, Forall):
+            binders.append(body.var)
+            body = body.body
+        aut, xs = operand(Not(body))
+        for var in reversed(binders):
+            aut, xs = comp.project_vars((var,), aut, xs)
+        aut = comp.combine("not", own, (aut, xs))
+    elif isinstance(phi, Iff):
+        l, r = phi.left, phi.right
+        aut = comp.combine("or", own, operand(And(l, r)),
+                           operand(And(Not(l), Not(r))))
     else:
-        aut = comp.combine("and", own, operand(phi.left), operand(phi.right))
+        mode = "and" if isinstance(phi, And) else "or"
+        aut = comp.combine(mode, own, operand(phi.left), operand(phi.right))
     if own != scope:
         aut = comp.combine("and", scope, (aut, own))
     return aut, comp.budget.used
@@ -549,7 +565,16 @@ def same_language(a, b, val):
         for x, y in ((a, b), (b, a)))
 
 
+def cold_open(phi, t, scope):
+    """compile_open(phi, t, scope) from empty caches, and its charge."""
+    clear_caches()
+    budget = Budget(None)
+    return compile_open(phi, t, scope, budget), budget.used
+
+
 _F = Var("f", VarKind.EDGE)
+_U = Var("u", VarKind.VERTEX)
+_W = Var("w", VarKind.VERTEX)
 STEP_MACHINES = {
     "adjacent": (Exists(_F, And(Inc(_X, _F), Inc(_Y, _F))), None),
     "adjacent_to_itself": (Exists(_F, And(Inc(_X, _F), Inc(_X, _F))), None),
@@ -565,6 +590,14 @@ STEP_MACHINES = {
     "not_card_vertex_set": (Not(Card(1, 2, _XS)), None),
     "psi_and_x_eq_x": (And(Exists(_F, Inc(_X, _F)), VarEq(_X, _X)), None),
     "x_eq_x_and_psi": (And(VarEq(_X, _X), MemV(_X, _XS)), None),
+    # diam=1's body: one machine, where the generic path runs an "or"
+    # machine and a subset construction
+    "not_eq_or_adjacent": (Not(Or(VarEq(_U, _Y), Exists(_W, And(
+        Exists(_F, And(Inc(_U, _F), Inc(_W, _F))), VarEq(_W, _Y))))), None),
+    # operands over different scopes: {x, X} and {X}
+    "mem_and_card": (And(MemV(_X, _XS), Card(0, 2, _XS)), None),
+    "inc_or_not_mem": (Or(Inc(_X, _F), Not(MemE(_F, _ES))), None),
+    "iff_of_atoms": (Iff(MemV(_X, _XS), Inc(_X, _F)), None),
 }
 
 
@@ -574,48 +607,98 @@ def test_step_machine_matches_generic_path(name):
     # generic path does at t=2, and charges less than it
     phi, scope = STEP_MACHINES[name]
     scope = _xtuple(scope or free_vars(phi))
-    clear_caches()
-    budget = Budget(None)
-    aut = compile_open(phi, 2, scope, budget)
+    aut, used = cold_open(phi, 2, scope)
     check_open_against_eval(aut, phi, 2, scope)
     want, charged = generic(phi, 2, scope)
     assert same_language(aut, want, validity_automaton(2, scope))
-    assert budget.used < charged
+    assert used < charged
 
 
 def test_x_eq_x_stays_where_x_is_not_free_in_psi():
-    # x = x asks for a vertex that psi does not flag: the "and" stays
+    # x = x asks for a vertex that psi does not flag: x stays in the scope
+    # of the machine, which runs psi's steps alone over validity(x, X)
     phi = And(Card(1, 2, _XS), VarEq(_X, _X))
     scope = _xtuple(free_vars(phi))
-    clear_caches()
-    budget = Budget(None)
-    aut = compile_open(phi, 2, scope, budget)
+    aut, used = cold_open(phi, 2, scope)
     check_open_against_eval(aut, phi, 2, scope)
     want, charged = generic(phi, 2, scope)
     assert to_json(aut) == to_json(want)
-    assert budget.used == charged
+    assert used < charged
+
+
+# forall x. P(x), P a pointwise atom that holds wherever x is unflagged,
+# is pointwise over the outer scope
+POINTWISE_FORALL = {
+    "all_in_set": Forall(_X, MemV(_X, _XS)),
+    "all_edges_in_set": Forall(_F, MemE(_F, _ES)),
+    "all_edges_at_x": Forall(_F, Inc(_X, _F)),
+}
+# where P fails on an unflagged x, or is not pointwise in x
+GENERIC_FORALL = {
+    "all_equal_y": Forall(_X, VarEq(_X, _Y)),
+    "x_at_every_vertex_of_e": Forall(_X, Inc(_X, _E)),
+    "none_in_set": Forall(_X, Not(MemV(_X, _XS))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINTWISE_FORALL))
+def test_pointwise_forall_is_the_complement_path(name):
+    # the same automaton, byte for byte, as the projection and the
+    # complement build it, at a lower charge
+    phi = POINTWISE_FORALL[name]
+    scope = _xtuple(free_vars(phi))
+    aut, used = cold_open(phi, 2, scope)
+    check_open_against_eval(aut, phi, 2, scope)
+    want, charged = generic(phi, 2, scope)
+    assert to_json(aut) == to_json(want)
+    assert used < charged
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC_FORALL))
+def test_other_forall_keeps_the_complement_path(name):
+    phi = GENERIC_FORALL[name]
+    scope = _xtuple(free_vars(phi))
+    aut, used = cold_open(phi, 2, scope)
+    check_open_against_eval(aut, phi, 2, scope)
+    want, charged = generic(phi, 2, scope)
+    assert to_json(aut) == to_json(want)
+    assert used == charged
+
+
+def test_forall_block_projects_once():
+    # three binders erased by one projection and one shrink: the same
+    # automaton, byte for byte, as one projection and shrink per binder
+    phi = Forall(_X, Forall(_F, Forall(_Y, Implies(
+        And(Inc(_X, _F), Inc(_Y, _F)), Or(VarEq(_X, _Y), MemV(_X, _XS))))))
+    scope = _xtuple(free_vars(phi))
+    aut, used = cold_open(phi, 2, scope)
+    check_open_against_eval(aut, phi, 2, scope)
+    want, charged = generic(phi, 2, scope)
+    assert to_json(aut) == to_json(want)
+    assert used == charged
 
 
 # SHA-256 of the canonical JSON of compile(phi, 3) as the generic kernels
 # over (q, m) pair states built it: dense ids may not move a byte. And the
-# charge of that compile, as the step machines for exists e. inc /\ inc,
-# negated atoms and psi /\ x = x build it: a scope with the edge variable
-# of `adjacent`, or a subset construction over an atom, raises it
+# charge of that compile, with each boolean combination of atoms one step
+# machine and forall x. x in A and forall e. inc(x, e) pointwise: a scope
+# with the edge variable of `adjacent`, a product per connective or a
+# subset construction over an atom raises it
 FORMULA_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "formulas"
 PINNED_COMPILE = {
     "diam1": (lambda: gen_diam(1),
               "2015c9057c01fcb69b8c174a0384948681f8f8f93fb486b17eaf9439d7817d06",
-              220057),
+              101758),
     "vc1": (lambda: gen_vertex_cover(1),
             "365916bb06b270062c6cf276e00dbb98e446ca666372cbd43289741695f0e22a",
-            72666),
+            10157),
     "even_order": (lambda: parse((FORMULA_DIR / "even_order.cmso").read_text()),
                    "42ac45d860fde03ce9523348f1d97152bae1e0449b315b6568e668800075cf0b",
-                   209336),
+                   12741),
     "no_isolated_vertex": (
         lambda: parse((FORMULA_DIR / "no_isolated_vertex.cmso").read_text()),
         "6f20800f982a54d8ccaf8c48521ada749abfde9fb3adc3c1a7ad9c4e9285adac",
-        70751),
+        53574),
 }
 
 
@@ -670,14 +753,13 @@ PINNED_VALIDITY = {
 
 # the scopes compile(phi, 3) asks validity for today: neither the edge
 # variable of `adjacent` nor the v = v conjunct that substituting diam=1's
-# w = v leaves gets one
+# w = v leaves gets one, nor the bound x of forall x. x in A or the bound
+# e of forall e. inc(x, e)
 COMPILE_SCOPES = {
     (),
     (("_q0", "v"),),
     (("_q0", "vs"),),
-    (("_q0", "v"), ("_q1", "e")),
     (("_q0", "v"), ("_q1", "v")),
-    (("_q0", "vs"), ("_q1", "v")),
 }
 
 
@@ -742,17 +824,17 @@ VACUOUS = [
 # SHA-256 of the canonical JSON of compile(phi, 3) and its charge. The
 # digests are those the unrolled one-operand steps built; the two set
 # binders charge what their body forall v x. exists e y. inc(x, y) does,
-# with exists e y. inc(x, y) run as incidence steps over validity(x).
+# with not exists e y. inc(x, y) run as incidence steps over validity(x).
 PINNED_LIFT = {
     VACUOUS[0]: (
         "d1dee6811f6820f4bc3d8c54e317a341d4e62df7d69aa9ccdb926da4944ca11a",
         12856),
     VACUOUS[1]: (
         "6f20800f982a54d8ccaf8c48521ada749abfde9fb3adc3c1a7ad9c4e9285adac",
-        70751),
+        53574),
     "forall vs A. forall v x. exists e y. inc(x, y)": (
         "6f20800f982a54d8ccaf8c48521ada749abfde9fb3adc3c1a7ad9c4e9285adac",
-        70751),
+        53574),
 }
 
 
