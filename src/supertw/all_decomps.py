@@ -20,7 +20,7 @@ from itertools import chain, islice, permutations
 from .decomp import bag_alphabet
 from .errors import NotConnectedError
 from .graph import Graph, is_connected
-from .tree_automata import TreeAutomaton, reduce_bisim, trim
+from .tree_automata import TreeAutomaton, int_columns, reduce_bisim, trim
 from .util import Budget, osorted
 
 
@@ -226,9 +226,9 @@ def materialize(machine: DecompMachine, budget: Budget | None = None):
     states: (automaton, the states in discovery order).
 
     The automaton's states are the ids 0..n-1 of the machine states in
-    discovery order, the order `to_json` numbers them by; its transitions
-    and final states carry those ids, and its symbols are the machine
-    alphabet's own objects.
+    discovery order, the order `to_json` numbers them by; its transitions,
+    emitted as int columns, and its final states carry those ids, and its
+    symbols are the machine alphabet's own objects.
 
     Bottom-up reachability: expanding state q steps it alone under every
     symbol and pairs it, both ways round, with each state expanded so far
@@ -246,25 +246,30 @@ def materialize(machine: DecompMachine, budget: Budget | None = None):
     budget = budget or Budget()
     known: dict = {}  # machine state -> id
     order: list = []  # id -> machine state
-    transitions: list = []
+    cols = int_columns()  # (left, right, symbol position, target id)
+    add_l, add_r, add_s, add_q = (col.append for col in cols)
 
     # Each (children, symbol) is discovered once and its targets are
     # distinct, so every transition is new: no duplicate check is needed.
-    def discover(children, sym, targets):
+    def discover(l, r, si, targets):
         for q in targets:
             i = known.get(q)
             if i is None:
                 i = known[q] = len(order)
                 order.append(q)
-            transitions.append((children, sym, i))
+            add_l(l)
+            add_r(r)
+            add_s(si)
+            add_q(i)
             budget.spend(1, "decompositions-of-g")
 
-    # each symbol with its bag set and its position among that set's symbols
-    slots = [(sym, sym.B, machine.bag_sets[sym.B].index(sym))
-             for sym in machine.alphabet]
+    # each symbol position with its bag set and its position among that
+    # set's symbols
+    slots = [(si, sym.B, machine.bag_sets[sym.B].index(sym))
+             for si, sym in enumerate(machine.alphabet)]
     leaves = {B: machine.step_bag_set((), B) for B in machine.bag_sets}
-    for sym, B, j in slots:
-        discover((), sym, leaves[B][j])
+    for si, B, j in slots:
+        discover(-1, -1, si, leaves[B][j])
     indexes = {B: _PairIndex(machine, B) for B in machine.bag_sets}
     frontier = 0
     while frontier < len(order):
@@ -283,18 +288,18 @@ def materialize(machine: DecompMachine, budget: Budget | None = None):
                 if any(lists):
                     partners.append((i, lists))
             pairs[B] = partners
-        for sym, B, j in slots:
-            discover((frontier,), sym, alone[B][j])
+        for si, B, j in slots:
+            discover(frontier, -1, si, alone[B][j])
             for i, lists in pairs[B]:
                 targets = lists[j]
-                discover((frontier, i), sym, targets)
+                discover(frontier, i, si, targets)
                 if i != frontier:
-                    discover((i, frontier), sym, targets)
+                    discover(i, frontier, si, targets)
         frontier += 1
 
     final = [i for i, q in enumerate(order) if machine.is_final(q)]
-    aut = TreeAutomaton.raw(machine.alphabet, range(len(order)), final,
-                            transitions)
+    aut = TreeAutomaton.from_columns(machine.alphabet, range(len(order)), final,
+                                     cols)
     return aut, order
 
 

@@ -101,7 +101,7 @@ def cmd_compile(args) -> int:
         _write_json(args.stats, {
             "states": len(aut.states),
             "final": len(aut.final),
-            "transitions": len(aut.transitions),
+            "transitions": aut.n_transitions,
             "alphabet": len(aut.alphabet),
             "seconds": stats["compile"]["seconds"],
             "charged": stats["compile"]["charged"],

@@ -45,7 +45,8 @@ from itertools import combinations, product as iproduct
 
 from ..decomp import bag_alphabet
 from ..errors import AlphabetMismatchError, CmsoKindError
-from ..tree_automata import TreeAutomaton, project, reduce_bisim, trim
+from ..tree_automata import (TreeAutomaton, int_columns, project,
+                             reduce_bisim, trim)
 from ..util import Budget, ChargedCache, gc_paused, osorted, register_cache
 from .ast import (And, Card, Exists, FalseF, Forall, Iff, Implies, Inc, MemE,
                   MemV, Not, Or, TrueF, Var, VarEq, VarKind, free_vars,
@@ -195,13 +196,12 @@ def validity_automaton(t: int, xvars, budget=None) -> TreeAutomaton:
 def _build_validity(t, xs, budget):
     """Numbers each state (B, vflags, closed, eseen) when it is first
     found, so the automaton's states are 0..n-1 in discovery order and its
-    transitions (children ids, symbol, target id): `to_json` numbers the
-    states by position, so the dump is the one the tuple states gave. A
-    target is numbered before its transition is emitted.
+    transitions int columns over those ids: `to_json` numbers the states
+    by position, so the dump is the one the tuple states gave. A target
+    is numbered before its transition is emitted.
 
     Emits each transition once: the pop of c pairs it per symbol with
-    the partners filed before it and with c itself, once for (c, c). A
-    pop's children tuples are shared by all the symbols it reads."""
+    the partners filed before it and with c itself, once for (c, c)."""
     alphabet = interpreted_alphabet(t, xs)
     fo_v = frozenset(v for v in xs if v.kind == VarKind.VERTEX)
     fo_e = frozenset(v for v in xs if v.kind == VarKind.EDGE)
@@ -210,11 +210,12 @@ def _build_validity(t, xs, budget):
     for sym in alphabet:
         open_fo = frozenset(v for v, _ in sym.vflags if v.kind == VarKind.VERTEX)
         new_e = frozenset(v for v in sym.eflags if v.kind == VarKind.EDGE)
-        syminfo.append((sym, sym.bag.B, sym.vflags, open_fo, new_e))
+        syminfo.append((sym.bag.B, sym.vflags, open_fo, new_e))
 
     ids = {}          # state -> id, in discovery order
     keys = []         # id -> state
-    transitions = []  # (children ids, symbol, target id)
+    cols = int_columns()  # (left, right, symbol position, target id)
+    add_l, add_r, add_s, add_q = (col.append for col in cols)
     queue = deque()
     # per symbol index: signature (closed-after, eseen) -> child ids
     buckets = [dict() for _ in syminfo]
@@ -227,19 +228,20 @@ def _build_validity(t, xs, budget):
             queue.append(i)
         return i
 
-    def emit(children, sym, tgt):
-        transitions.append((children, sym, tgt))
+    def emit(l, r, si, tgt):
+        add_l(l)
+        add_r(r)
+        add_s(si)
+        add_q(tgt)
         budget.spend(1, "validity")
 
-    for sym, B, vfl, open_fo, new_e in syminfo:
-        emit((), sym, number((B, vfl, frozenset(), new_e)))
+    for i, (B, vfl, open_fo, new_e) in enumerate(syminfo):
+        emit(-1, -1, i, number((B, vfl, frozenset(), new_e)))
 
     while queue:
         c = queue.popleft()
         c_B, c_vfl, c_closed, c_eseen = keys[c]
-        only_c = (c,)
-        pairs = {}  # partner id -> its children tuples with c, both orders
-        for i, (sym, B, vfl, open_fo, new_e) in enumerate(syminfo):
+        for i, (B, vfl, open_fo, new_e) in enumerate(syminfo):
             shared = c_B & B
             if shared:
                 child_side = {p for p in c_vfl if p[1] in shared}
@@ -255,7 +257,7 @@ def _build_validity(t, xs, budget):
                 continue
             if c_eseen & new_e:
                 continue
-            emit(only_c, sym, number((B, vfl, prog, c_eseen | new_e)))
+            emit(c, -1, i, number((B, vfl, prog, c_eseen | new_e)))
 
             sig = (prog, c_eseen)
             bucket = buckets[i]
@@ -273,12 +275,9 @@ def _build_validity(t, xs, budget):
                     continue
                 tgt2 = number((B, vfl, both_closed, both_eseen | new_e))
                 for d in partners:
-                    got = pairs.get(d)
-                    if got is None:
-                        got = pairs[d] = ((c, d), (d, c))
-                    emit(got[0], sym, tgt2)
+                    emit(c, d, i, tgt2)
                     if d != c:
-                        emit(got[1], sym, tgt2)
+                        emit(d, c, i, tgt2)
 
     final = []
     for i, (_, vfl, closed, eseen) in enumerate(keys):
@@ -288,8 +287,8 @@ def _build_validity(t, xs, budget):
         if all((x in closed) != (x in open_now) for x in fo_v):
             final.append(i)
 
-    return trim(TreeAutomaton.raw(alphabet, range(len(keys)), final,
-                                  transitions), budget)
+    return trim(TreeAutomaton.from_columns(alphabet, range(len(keys)), final,
+                                           cols), budget)
 
 
 def functional_product(base, leaf_f, unary_f, binary_f, final_f, budget, stage):
@@ -315,36 +314,32 @@ def functional_product(base, leaf_f, unary_f, binary_f, final_f, budget, stage):
     the right, so did i itself, on the left. Base transitions are distinct
     and the steps deterministic, so each transition is appended once.
 
-    The base's binary rules are indexed per base state in int columns:
-    one flat `array("i")` per side, four ints per rule (other child,
-    symbol position, target, slot), read four at a time. The slots of
-    the left side are fixed up in place once the pass has counted every
-    state's left rules.
+    The base is read from its columns, by state position. Its binary
+    rules are indexed per base state in int columns: one flat
+    `array("i")` per side, four ints per rule (other child, symbol
+    position, target, slot), read four at a time. The slots of the left
+    side are fixed up in place once the pass has counted every state's
+    left rules. The result's transitions are emitted as int columns.
     """
-    bidx = {q: i for i, q in enumerate(base.states)}
     alphabet = base.alphabet
-    aidx = {a: i for i, a in enumerate(alphabet)}
     leaf_trans = []
     un_by_child = {}
     # base state -> its binary rules by left (right) child, flat int
     # columns: (right (left) child, symbol position, target, slot) each
     bin_by_left = {}
     bin_by_right = {}
-    for children, sym, tgt in base.transitions:
-        if not children:
-            leaf_trans.append((sym, bidx[tgt]))
-        elif len(children) == 1:
-            un_by_child.setdefault(bidx[children[0]], []).append(
-                (sym, bidx[tgt]))
+    for l, r, si, q in zip(*base.columns):
+        if l < 0:
+            leaf_trans.append((si, q))
+        elif r < 0:
+            un_by_child.setdefault(l, []).append((si, q))
         else:
-            l, r = bidx[children[0]], bidx[children[1]]
             by_l = bin_by_left.get(l)
             if by_l is None:
                 by_l = bin_by_left[l] = array("i")
             by_r = bin_by_right.get(r)
             if by_r is None:
                 by_r = bin_by_right[r] = array("i")
-            si, q = aidx[sym], bidx[tgt]
             by_l.extend((r, si, q, len(by_r) >> 2))
             by_r.extend((l, si, q, (len(by_l) >> 2) - 1))
     # The pop of a state over base state q takes its partner snapshots
@@ -360,12 +355,13 @@ def functional_product(base, leaf_f, unary_f, binary_f, final_f, budget, stage):
 
     ids = {}          # (base state, m) -> product state id
     discovered = {}   # base state -> [(m, id)] in discovery order
-    transitions = []  # (children ids, symbol, target id)
+    cols = int_columns()  # (left, right, symbol position, target id)
+    add_l, add_r, add_s, add_q = (col.append for col in cols)
     queue = deque()   # (base state, m, id, born, seen), see the loop
     popped = -1       # the state being popped; -1 while seeding leaves
     snaps = 0         # partner snapshots taken so far by that pop
 
-    def emit(children, sym, qb, m):
+    def emit(l, r, si, qb, m):
         """Transition into product state (qb, m), numbering it if new."""
         st = (qb, m)
         tgt = ids.get(st)
@@ -373,25 +369,28 @@ def functional_product(base, leaf_f, unary_f, binary_f, final_f, budget, stage):
             tgt = ids[st] = len(ids)
             discovered.setdefault(qb, []).append((m, tgt))
             queue.append((qb, m, tgt, popped, snaps))
-        transitions.append((children, sym, tgt))
+        add_l(l)
+        add_r(r)
+        add_s(si)
+        add_q(tgt)
         budget.spend(1, stage)
 
-    for sym, tgt in leaf_trans:
-        m = leaf_f(sym)
+    for si, tgt in leaf_trans:
+        m = leaf_f(alphabet[si])
         if m is None:
             continue
-        emit((), sym, tgt, m)
+        emit(-1, -1, si, tgt, m)
 
     # state i was found by the pop of `born` (-1 for leaves) after `seen`
     # of its snapshots, so its snapshots from slot `seen` on held i
     while queue:
         qb, m, i, born, seen = queue.popleft()
         popped, snaps = i, 0
-        for sym, tgt in un_by_child.get(qb, ()):
-            m2 = unary_f(m, sym)
+        for si, tgt in un_by_child.get(qb, ()):
+            m2 = unary_f(m, alphabet[si])
             if m2 is None:
                 continue
-            emit((i,), sym, tgt, m2)
+            emit(i, -1, si, tgt, m2)
         it = iter(bin_by_left.get(qb, ()))
         for qb2, si, tgt, slot in zip(it, it, it, it):
             sym = alphabet[si]
@@ -403,7 +402,7 @@ def functional_product(base, leaf_f, unary_f, binary_f, final_f, budget, stage):
                 mm = binary_f(m, m2, sym)
                 if mm is None:
                     continue
-                emit((i, i2), sym, tgt, mm)
+                emit(i, i2, si, tgt, mm)
         it = iter(bin_by_right.get(qb, ()))
         for qb1, si, tgt, slot in zip(it, it, it, it):
             sym = alphabet[si]
@@ -415,35 +414,37 @@ def functional_product(base, leaf_f, unary_f, binary_f, final_f, budget, stage):
                 mm = binary_f(m1, m, sym)
                 if mm is None:
                     continue
-                emit((i1, i), sym, tgt, mm)
+                emit(i1, i, si, tgt, mm)
 
-    base_final = {bidx[q] for q in base.final}
+    base_final = base.final_ids
     final = [i for (qb, m), i in ids.items() if qb in base_final and final_f(m)]
-    return TreeAutomaton.raw(alphabet, range(len(ids)), final, transitions)
+    return TreeAutomaton.from_columns(alphabet, range(len(ids)), final, cols)
 
 
 class _SubsetSim:
     """Subset simulation of an automaton, optionally reading the driving
     symbols through an erasure map (to lift over a larger alphabet).
 
-    `binary` interns each subset it computes in `subsets`, so its cache
-    values and the product states built from them share one frozenset
-    per distinct subset. The table lives and dies with the simulation."""
+    Subsets hold the operand's state positions, read from its columns,
+    which are its states when they are 0..n-1. `binary` interns each
+    subset it computes in `subsets`, so its cache values and the product
+    states built from them share one frozenset per distinct subset. The
+    table lives and dies with the simulation."""
 
     def __init__(self, other, erase=None):
-        self.alphabet = other.alphabet
-        self.final = frozenset(other.final)
+        self.alphabet = alphabet = other.alphabet
+        self.final = other.final_ids
         self.erase = erase
         leaf_by_sym = {}
         un = {}
         bn = {}
-        for children, sym, tgt in other.transitions:
-            if not children:
+        for l, r, si, tgt in zip(*other.columns):
+            sym = alphabet[si]
+            if l < 0:
                 leaf_by_sym.setdefault(sym, set()).add(tgt)
-            elif len(children) == 1:
-                un.setdefault(sym, {}).setdefault(children[0], []).append(tgt)
+            elif r < 0:
+                un.setdefault(sym, {}).setdefault(l, []).append(tgt)
             else:
-                l, r = children
                 bn.setdefault(sym, {}).setdefault(l, {}).setdefault(r, []).append(tgt)
         self.leaf_by_sym = {s: frozenset(v) for s, v in leaf_by_sym.items()}
         self.un = un

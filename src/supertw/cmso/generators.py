@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from ..errors import CmsoKindError
 from .ast import (And, Card, Exists, FalseF, Forall, Iff, Implies, Inc, MemV,
-                  Or, TrueF, Var, VarEq, VarKind)
+                  Or, Var, VarEq, VarKind)
 
 
 def _v(name):
@@ -82,6 +82,3 @@ def some_vertex():
     x = _v("_x")
     return Exists(x, VarEq(x, x))
 
-
-def tautology():
-    return TrueF()

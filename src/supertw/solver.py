@@ -49,8 +49,8 @@ from .graph import Graph, embeds_as_subgraph, graph_to_json, is_connected
 from .subdecomp import pair_alphabet, sub_closure, sub_closure_paired
 from .terms import map_symbols
 from .tree_automata import (TreeAutomaton, accepts, extract_witness,
-                            intersect, intersection_nonempty, reduce_bisim,
-                            trim)
+                            int_columns, intersect, intersection_nonempty,
+                            reduce_bisim, trim)
 from .util import (Budget, ChargedCache, clear_registered_caches, gc_paused,
                    osorted)
 
@@ -157,20 +157,27 @@ def lift_to_pairs(aut: TreeAutomaton, t: int) -> TreeAutomaton:
     """Reread a plain-bag automaton over pair symbols through the sub slot.
 
     Accepts a pair term iff its first projection is accepted by `aut`;
-    states and final states are shared.
+    states and final states are shared. Each rule of `aut` becomes, in
+    its place, one rule per pair symbol whose sub-bag is its symbol, in
+    pair alphabet order; the columns are read and written directly.
     """
     pairs = pair_alphabet(t)
     expected = tuple(osorted(bag_alphabet(t)))
     if aut.alphabet != expected:
         raise SupertwError("lift_to_pairs needs the full t-bag alphabet")
-    by_sub = {}
-    for p in pairs:
-        by_sub.setdefault(p.sub, []).append(p)
-    transitions = []
-    for children, sym, q in aut.transitions:
-        for p in by_sub.get(sym, ()):
-            transitions.append((children, p, q))
-    return TreeAutomaton.raw(pairs, aut.states, aut.final, tuple(transitions))
+    sub_pos = {sym: i for i, sym in enumerate(expected)}
+    by_sub = [[] for _ in expected]  # symbol position -> pair positions
+    for i, p in enumerate(pairs):
+        by_sub[sub_pos[p.sub]].append(i)
+    cols = int_columns()
+    add_l, add_r, add_s, add_q = (col.append for col in cols)
+    for l, r, si, q in zip(*aut.columns):
+        for pi in by_sub[si]:
+            add_l(l)
+            add_r(r)
+            add_s(pi)
+            add_q(q)
+    return TreeAutomaton.from_columns(pairs, aut.states, aut.final_ids, cols)
 
 
 def _phi_automaton(phi, t1, simple, budget):
@@ -213,7 +220,7 @@ def _stage(stats, name, start, budget, aut=None, cached=None):
              "charged": budget.used - used0}
     if aut is not None:
         entry["states"] = len(aut.states)
-        entry["transitions"] = len(aut.transitions)
+        entry["transitions"] = aut.n_transitions
     if cached is not None:
         entry["cached"] = cached
     stats[name] = entry
@@ -236,7 +243,10 @@ def _reconstruct(g, phi, t1, a_g, phi_aut, sp, budget, simple, stats):
     The product goes to `extract_witness` untrimmed, and the
     `paired_product` stage reports it as built. Trimming would not change
     the witness: it is built from useful states only, and a rule into a
-    useful state has only useful children."""
+    useful state has only useful children. The lift, the product and the
+    extraction run on int columns, so none of the product's transitions,
+    of which the witness uses a handful, is ever built as a tuple; the
+    stage counts them with `n_transitions`."""
     start = _start(budget)
     lifted = lift_to_pairs(a_g, t1)
     prod = intersect(lifted, sp, budget)

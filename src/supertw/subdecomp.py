@@ -22,7 +22,7 @@ from itertools import combinations
 
 from .decomp import ConcreteBag, bag_alphabet, sub_bags
 from .errors import AlphabetMismatchError
-from .tree_automata import TreeAutomaton
+from .tree_automata import TreeAutomaton, int_columns
 from .util import Budget, osorted
 
 
@@ -127,9 +127,11 @@ def _closure(aut: TreeAutomaton, paired: bool, budget: Budget | None):
     set B to the alphabet positions of its sub-bags with bag set B, in
     `sub_bags` order, so the output symbols are the output alphabet's own
     objects, looked up and not built. A transition is recorded as
-    (children ids, symbol position, target id) and decoded once at the
-    end. Plain mode needs that deduplication: rules with super-bags
-    (B', ∅) and (B', b') both give bag(B) when the edge is dropped.
+    (children ids, symbol position, target id), and the result's int
+    columns are filled from those records. Plain mode needs that
+    deduplication: rules with super-bags (B', ∅) and (B', b') both give
+    bag(B) when the edge is dropped. aut is read from its columns, so q
+    is a state position.
     """
     t = _bag_arity_t(aut)
     if budget is None:
@@ -140,23 +142,27 @@ def _closure(aut: TreeAutomaton, paired: bool, budget: Budget | None):
     # per input symbol: its label mask, per kept mask the output positions
     # of its sub-bags with that bag set, and the kept sets met per
     # (forced, base) with their positions
-    specs = {}
+    specs = []  # by symbol position of aut
     for sup in aut.alphabet:
         table = {}
         for sub in sub_bags(sup):
             table.setdefault(_mask(sub.B), []).append(
                 pos[PairBag(sub, sup) if paired else sub])
-        specs[sup] = (_mask(sup.B), table, {})
+        specs.append((_mask(sup.B), table, {}))
 
     ids: dict = {}    # (q, B, B') -> state id
     info: list = []   # state id -> (q, B, B')
     trs: dict = {}    # (children ids, symbol position, target id) -> None
     queue = deque()
     by_child: dict = {}
-    for children, sym, q in aut.transitions:
-        if children:
-            for c in set(children):
-                by_child.setdefault(c, []).append((children, specs[sym], q))
+    leaves = []
+    for l, r, si, q in zip(*aut.columns):
+        if l < 0:
+            leaves.append((specs[si], q))
+            continue
+        children = (l,) if r < 0 else (l, r)
+        for c in set(children):
+            by_child.setdefault(c, []).append((children, specs[si], q))
 
     def expand(combo, spec, q):
         supB, table, memo = spec
@@ -188,9 +194,8 @@ def _closure(aut: TreeAutomaton, paired: bool, budget: Budget | None):
                     trs[tr] = None
                     budget.spend(1, stage)
 
-    for children, sym, q in aut.transitions:
-        if not children:
-            expand((), specs[sym], q)
+    for spec, q in leaves:
+        expand((), spec, q)
 
     anns: dict = {}   # state of aut -> ids of the states over it, in order
     while queue:
@@ -201,9 +206,11 @@ def _closure(aut: TreeAutomaton, paired: bool, budget: Budget | None):
             for combo in _combos_with(st, base, children, anns):
                 expand(combo, spec, q)
 
-    final = [i for i, (q, _B, _S) in enumerate(info) if q in aut.final]
-    trs = [(ch, alphabet[si], q) for ch, si, q in trs]
-    return TreeAutomaton.raw(alphabet, range(len(info)), final, trs)
+    fin = aut.final_ids
+    final = [i for i, (q, _B, _S) in enumerate(info) if q in fin]
+    cols = int_columns((ch[0] if ch else -1, ch[1] if len(ch) == 2 else -1, si, q)
+                       for ch, si, q in trs)
+    return TreeAutomaton.from_columns(alphabet, range(len(info)), final, cols)
 
 
 def sub_closure(aut: TreeAutomaton, budget: Budget | None = None) -> TreeAutomaton:

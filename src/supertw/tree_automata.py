@@ -4,6 +4,15 @@ An automaton is (alphabet, states, final, transitions) with transitions of
 the form (children, symbol, target) where children is a tuple of 0, 1 or 2
 states. A term is accepted when some bottom-up run lands in a final state.
 
+The transitions are stored in four parallel int columns, each an
+`array("i")`: left child, right child (-1 where absent), symbol position
+in the alphabet and target, with states given by their positions in
+`states`. That is 16 bytes a transition, where a (children, symbol,
+target) tuple takes about 130. The tuple view `.transitions` is derived
+from the columns on first read and cached on the automaton;
+`n_transitions` counts without it. Every construction here reads and
+writes columns, so none of them builds the tuple view.
+
 The constructions here are the ones the pipeline runs: product,
 projection, `trim`, `reduce_bisim` and witness extraction. The product
 is one join, `_product`, behind two wrappers: `intersect` builds the
@@ -18,6 +27,8 @@ automaton; nothing reads a dump back.
 
 from __future__ import annotations
 
+from array import array
+from collections import defaultdict
 from heapq import heapify, heappop, heappush
 from itertools import chain
 
@@ -26,67 +37,144 @@ from .terms import Term, term
 from .util import Budget, osorted
 
 
+def int_columns(rows=()):
+    """Four int columns (left, right, symbol, target) of `array("i")`,
+    filled from `rows`, an iterable of such 4-tuples, in its order."""
+    cols = (array("i"), array("i"), array("i"), array("i"))
+    ls, rs, ss, qs = (col.append for col in cols)
+    for l, r, s, q in rows:
+        ls(l)
+        rs(r)
+        ss(s)
+        qs(q)
+    return cols
+
+
+def _is_dense(states):
+    return states == tuple(range(len(states)))
+
+
 class TreeAutomaton:
+    """The transitions live in `columns`, four parallel `array("i")`:
+    left child, right child (-1 where absent), symbol position and target,
+    by state position. `.transitions`, the (children, symbol, target)
+    tuples in column order, is derived on first read and cached in
+    `_trs`. `final_ids` holds the positions of the final states; when the
+    states are 0..n-1, `final` is that same frozenset."""
+
     # _index and _groups are lazily built join indexes (`_child_indexes`,
     # `_partner_group`); they live and die with the automaton, so dropping
     # a cached automaton (`solver.clear_caches`) frees them too
-    __slots__ = ("alphabet", "states", "final", "transitions", "_index", "_groups")
+    __slots__ = ("alphabet", "states", "final", "columns", "final_ids", "_trs",
+                 "_index", "_groups")
 
     def __init__(self, alphabet, states, final, transitions):
-        self.alphabet = tuple(osorted(set(alphabet)))
-        self.states = tuple(osorted(set(states)))
-        self.final = frozenset(final)
-        # sort transitions canonically via integer surrogates so deep state
-        # keys are derived once per state, not once per comparison element
-        sidx = {s: i for i, s in enumerate(self.states)}
-        aidx = {a: i for i, a in enumerate(self.alphabet)}
+        alphabet = tuple(osorted(set(alphabet)))
+        states = tuple(osorted(set(states)))
+        sidx = {s: i for i, s in enumerate(states)}
+        aidx = {a: i for i, a in enumerate(alphabet)}
         uniq = set(transitions)
-
-        def tkey(tr):
-            children, sym, q = tr
-            return (tuple(sidx[c] for c in children), aidx[sym], sidx[q])
-
-        try:
-            self.transitions = tuple(sorted(uniq, key=tkey))
-        except KeyError:
-            raise ValueError("transition references unknown state or symbol")
-        if not self.final <= set(sidx):
-            raise ValueError("final states not among states")
         for children, _sym, _q in uniq:
             if len(children) > 2:
                 raise ValueError("arity at most 2")
-        self._index = None
-        self._groups = None
+        # sorted by (left, right, symbol, target) positions, with -1 for
+        # an absent child: the order of (children, symbol, target) keys
+        try:
+            rows = sorted(_encode(uniq, sidx, aidx))
+        except KeyError:
+            raise ValueError("transition references unknown state or symbol")
+        if not set(final) <= set(sidx):
+            raise ValueError("final states not among states")
+        self._set(alphabet, states, [sidx[q] for q in final], int_columns(rows))
 
     @classmethod
     def raw(cls, alphabet, states, final, transitions):
-        """Trusted constructor for the automaton-building pipelines.
+        """Trusted constructor from (children, symbol, target) tuples.
 
         Skips sorting, validation and deduplication: `alphabet` must be in
-        canonical order, `states` and `transitions` duplicate-free (as the
-        pipeline's constructions emit them) in a deterministic order. Use
-        the regular constructor for anything assembled by hand.
+        canonical order, `states` and `transitions` duplicate-free in a
+        deterministic order, and every symbol and state of a transition
+        among `alphabet` and `states`. The tuples are encoded into columns
+        and dropped. Use the regular constructor for anything assembled by
+        hand.
         """
+        alphabet = tuple(alphabet)
+        states = tuple(states)
+        aidx = {a: i for i, a in enumerate(alphabet)}
+        if _is_dense(states):
+            sidx = None
+            fin = final
+        else:
+            sidx = {s: i for i, s in enumerate(states)}
+            fin = [sidx[q] for q in final]
+        return cls.from_columns(alphabet, states, fin,
+                                int_columns(_encode(transitions, sidx, aidx)))
+
+    @classmethod
+    def from_columns(cls, alphabet, states, final_ids, cols):
+        """Trusted constructor from int columns, as `int_columns` builds them.
+
+        `final_ids` are the positions of the final states. The columns are
+        kept, not copied, so they must not change afterwards; the same
+        trust as `raw` applies."""
         self = object.__new__(cls)
-        self.alphabet = tuple(alphabet)
-        self.states = tuple(states)
-        self.final = frozenset(final)
-        self.transitions = tuple(transitions)
-        self._index = None
-        self._groups = None
+        self._set(tuple(alphabet), tuple(states), final_ids, cols)
         return self
 
+    def _set(self, alphabet, states, final_ids, cols):
+        self.alphabet = alphabet
+        self.states = states
+        self.final_ids = frozenset(final_ids)
+        self.final = (self.final_ids if _is_dense(states)
+                      else frozenset(states[i] for i in self.final_ids))
+        self.columns = cols
+        self._trs = None
+        self._index = None
+        self._groups = None
+
+    @property
+    def transitions(self):
+        """The (children, symbol, target) tuples in column order, decoded
+        on first read and kept."""
+        trs = self._trs
+        if trs is None:
+            st, al = self.states, self.alphabet
+            trs = self._trs = tuple(
+                (() if l < 0 else (st[l],) if r < 0 else (st[l], st[r]),
+                 al[s], st[q]) for l, r, s, q in zip(*self.columns))
+        return trs
+
+    @property
+    def n_transitions(self):
+        return len(self.columns[3])
+
     def size(self):
-        return len(self.states) + len(self.transitions)
+        return len(self.states) + self.n_transitions
 
     def __repr__(self):
         return (f"TreeAutomaton(|Q|={len(self.states)}, |F|={len(self.final)}, "
-                f"|Δ|={len(self.transitions)}, |Σ|={len(self.alphabet)})")
+                f"|Δ|={self.n_transitions}, |Σ|={len(self.alphabet)})")
+
+
+def _encode(transitions, sidx, aidx):
+    """(left, right, symbol, target) rows of (children, symbol, target)
+    tuples; sidx maps states to positions, None when they are their own."""
+    for children, sym, q in transitions:
+        if sidx is not None:
+            children = [sidx[c] for c in children]
+            q = sidx[q]
+        n = len(children)
+        yield (children[0] if n else -1, children[1] if n == 2 else -1,
+               aidx[sym], q)
 
 
 def run(aut: TreeAutomaton, t: Term, cache=None):
-    """The set of states reachable at the root of t, as a frozenset."""
+    """The set of states reachable at the root of t, as a frozenset.
+
+    A `cache` passed in keeps, per subterm, the state positions reached;
+    pass it only with the same automaton."""
     pos, leaf, unary, left, _right = _child_indexes(aut)
+    _, rcol, _, qcol = aut.columns
     if cache is None:
         cache = {}
 
@@ -106,12 +194,15 @@ def run(aut: TreeAutomaton, t: Term, cache=None):
             by_left = left[si]
             s1 = go(node.children[0])
             s2 = go(node.children[1])
-            out = frozenset(q for c in s1 for (_, c2), _s, q in by_left.get(c, ())
-                            if c2 in s2)
+            out = frozenset(qcol[k] for c in s1 for k in by_left.get(c, ())
+                            if rcol[k] in s2)
         cache[node] = out
         return out
 
-    return go(t)
+    out = go(t)
+    if aut.final is aut.final_ids:  # dense states: positions are the states
+        return out
+    return frozenset(aut.states[i] for i in out)
 
 
 def accepts(aut: TreeAutomaton, t: Term, cache=None) -> bool:
@@ -128,10 +219,11 @@ def _child_indexes(aut: TreeAutomaton):
 
     (symbol -> alphabet position, then per position: leaf targets
     [target], unary {child: [target]}, binary by left child {child1:
-    [transition]} and by right child {child2: [transition]}). Each list is
-    in transition order, and the binary maps share the automaton's own
-    transition tuples. It is kept in the automaton's `_index` slot, beside
-    the lazy partner groups of `_partner_group`."""
+    positions} and by right child {child2: positions}), over state
+    positions. A binary entry holds the column positions of its rules in
+    an `array("i")`; every list is in transition order. It is kept in the
+    automaton's `_index` slot, beside the lazy partner groups of
+    `_partner_group`."""
     got = aut._index
     if got is None:
         pos = {a: i for i, a in enumerate(aut.alphabet)}
@@ -139,16 +231,20 @@ def _child_indexes(aut: TreeAutomaton):
         unary = [{} for _ in pos]
         left = [{} for _ in pos]
         right = [{} for _ in pos]
-        for tr in aut.transitions:
-            children, sym, q = tr
-            si = pos[sym]
-            if not children:
+        for k, (l, r, si, q) in enumerate(zip(*aut.columns)):
+            if l < 0:
                 leaf[si].append(q)
-            elif len(children) == 1:
-                unary[si].setdefault(children[0], []).append(q)
+            elif r < 0:
+                unary[si].setdefault(l, []).append(q)
             else:
-                left[si].setdefault(children[0], []).append(tr)
-                right[si].setdefault(children[1], []).append(tr)
+                by = left[si].get(l)
+                if by is None:
+                    by = left[si][l] = array("i")
+                by.append(k)
+                by = right[si].get(r)
+                if by is None:
+                    by = right[si][r] = array("i")
+                by.append(k)
         got = aut._index = (pos, leaf, unary, left, right)
     return got
 
@@ -160,12 +256,13 @@ class _FinalPair(Exception):
 def _product(a: TreeAutomaton, b: TreeAutomaton, budget, stage, decide):
     """The product join behind `intersect` and `intersection_nonempty`.
 
-    Returns (pairs, trs): pairs[id] is (qa, qb, id of the pair whose pop
-    found it, -1 for a leaf pair), numbered in discovery order; trs are
-    the transitions (children ids, symbol, target id) in emission order,
-    each appended once with one `budget.spend(1, stage)`. With `decide`
-    no transition is built: each new pair spends 1 instead, and the first
-    final pair raises `_FinalPair`. Both modes number the pairs alike.
+    Returns (pairs, cols): pairs[id] is (qa, qb, id of the pair whose pop
+    found it, -1 for a leaf pair), state positions numbered in discovery
+    order; cols are the transitions' columns (`int_columns`) over pair ids in
+    emission order, each appended once with one `budget.spend(1, stage)`.
+    With `decide` no transition is built: each new pair spends 1 instead,
+    and the first final pair raises `_FinalPair`. Both modes number the
+    pairs alike.
 
     Pairs are popped in id order, and each pop checks the deadline. The
     pop of p = (pa, pb) runs every rule pair of a and b with child pa and
@@ -201,13 +298,15 @@ def _product(a: TreeAutomaton, b: TreeAutomaton, budget, stage, decide):
         budget = Budget()
     _, aL, aU, aB1, aB2 = _child_indexes(a)
     _, bL, bU, bB1, bB2 = _child_indexes(b)
-    alphabet = a.alphabet
-    afin, bfin = a.final, b.final
+    a_left, a_right, _, a_target = a.columns
+    b_left, b_right, _, b_target = b.columns
+    afin, bfin = a.final_ids, b.final_ids
     spend = budget.spend
     partners = {}  # qa -> {qb: id of the pair (qa, qb)}, in discovery order
     pairs = []     # id -> (qa, qb, id of the pair whose pop found it)
-    trs = []       # (children ids, symbol, target id), in emission order
-    met = {}       # id c -> {(children, si, target)} its finder's pop made with c
+    cols = int_columns()  # the transitions over pair ids, in emission order
+    add_l, add_r, add_s, add_q = (col.append for col in cols)
+    met = {}       # id c -> {(left, right, si, target)} its finder's pop made with c
 
     def targets(qa):
         """qa's known partners, kept live in `partners`."""
@@ -226,9 +325,9 @@ def _product(a: TreeAutomaton, b: TreeAutomaton, budget, stage, decide):
                 raise _FinalPair
         return t
 
-    def cross(la, lb, ch, sym, born):
+    def cross(la, lb, child, si, born):
         """Pair every target of la with every target of lb: the leaf
-        (ch == ()) or unary rules of one symbol."""
+        (child -1) or unary rules of one symbol."""
         for qa in la:
             tq = targets(qa)
             for qb in lb:
@@ -236,19 +335,22 @@ def _product(a: TreeAutomaton, b: TreeAutomaton, budget, stage, decide):
                 if t is None:
                     t = number(tq, qa, qb, born)
                 if not decide:
-                    trs.append((ch, sym, t))
+                    add_l(child)
+                    add_r(-1)
+                    add_s(si)
+                    add_q(t)
                     spend(1, stage)
 
     def join(la, lb, side, si, p, pb, born, hi, start, seen):
-        """Run a's rules la against b's rules lb, both with the popped pair
-        p (child pb of b) on `side`; partner pairs with born < id < hi are
-        skipped, and so are the transitions with partner `born` in `seen`.
-        Transitions with a partner of id >= start are kept in `met`."""
-        other = 1 - side
-        sym = alphabet[si]
+        """Run a's rules la against b's rules lb (column positions), both
+        with the popped pair p (child pb of b) on `side`; partner pairs
+        with born < id < hi are skipped, and so are the transitions with
+        partner `born` in `seen`. Transitions with a partner of id >=
+        start are kept in `met`."""
+        a_other, b_other = (a_right, b_right) if side == 0 else (a_left, b_left)
         grp = None
-        for children, _s, qa in la:
-            ca = children[other]
+        for k in la:
+            ca = a_other[k]
             part = partners.get(ca)
             if not part:
                 continue
@@ -262,6 +364,7 @@ def _product(a: TreeAutomaton, b: TreeAutomaton, budget, stage, decide):
                         if (c := part.get(cb)) is not None and not born < c < hi]
             if not hits:
                 continue
+            qa = a_target[k]
             tq = targets(qa)
             if qa == ca:
                 heap = list(chain.from_iterable(hits))
@@ -271,33 +374,37 @@ def _product(a: TreeAutomaton, b: TreeAutomaton, budget, stage, decide):
                 order = hits[0]
             else:
                 order = sorted(chain.from_iterable(hits))
-            for k in order:
-                cch, _s, qb = lb[k]
+            for i in order:
+                kb = lb[i]
+                qb = b_target[kb]
                 t = tq.get(qb)
                 if t is None:
                     t = number(tq, qa, qb, p)
                     if qa == ca:
-                        for k2 in grp.get(qb, ()):
-                            if k2 > k:
-                                heappush(heap, k2)
+                        for i2 in grp.get(qb, ()):
+                            if i2 > i:
+                                heappush(heap, i2)
                 if decide:
                     continue
-                c = part[cch[other]]
-                ch = (c, p) if side else (p, c)
-                if c == born and seen and (ch, si, t) in seen:
+                c = part[b_other[kb]]
+                l, r = (c, p) if side else (p, c)
+                if c == born and seen and (l, r, si, t) in seen:
                     continue
-                trs.append((ch, sym, t))
+                add_l(l)
+                add_r(r)
+                add_s(si)
+                add_q(t)
                 spend(1, stage)
                 if c >= start:
                     got = met.get(c)
                     if got is None:
                         got = met[c] = set()
-                    got.add((ch, si, t))
+                    got.add((l, r, si, t))
 
     for si, (la, lb) in enumerate(zip(aL, bL)):
-        cross(la, lb, (), alphabet[si], -1)
+        cross(la, lb, -1, si, -1)
 
-    nsym = len(alphabet)
+    nsym = len(a.alphabet)
     p = 0
     while p < len(pairs):
         budget.check_time(stage)
@@ -309,7 +416,7 @@ def _product(a: TreeAutomaton, b: TreeAutomaton, budget, stage, decide):
             if la:
                 lb = bU[si].get(pb)
                 if lb:
-                    cross(la, lb, (p,), alphabet[si], p)
+                    cross(la, lb, p, si, p)
             la = aB1[si].get(pa)
             if la:
                 lb = bB1[si].get(pb)
@@ -321,7 +428,7 @@ def _product(a: TreeAutomaton, b: TreeAutomaton, budget, stage, decide):
                 if lb:
                     join(la, lb, 1, si, p, pb, born, p + 1, start, seen)
         p += 1
-    return pairs, trs
+    return pairs, cols
 
 
 def _drain(heap):
@@ -336,12 +443,13 @@ def intersect(a: TreeAutomaton, b: TreeAutomaton, budget: Budget | None = None):
     Its states are the pair ids 0..n-1 of `_product`, in discovery order,
     not the pairs; `to_json` numbers states by position, so the dump is
     the one the pair states would give. Transitions come out in emission
-    order, each charged 1 under "intersect"; each pop checks the deadline.
+    order, as columns, each charged 1 under "intersect"; each pop checks
+    the deadline.
     """
-    pairs, trs = _product(a, b, budget, "intersect", False)
-    afin, bfin = a.final, b.final
+    pairs, cols = _product(a, b, budget, "intersect", False)
+    afin, bfin = a.final_ids, b.final_ids
     final = [i for i, (qa, qb, _) in enumerate(pairs) if qa in afin and qb in bfin]
-    return TreeAutomaton.raw(a.alphabet, range(len(pairs)), final, trs)
+    return TreeAutomaton.from_columns(a.alphabet, range(len(pairs)), final, cols)
 
 
 def intersection_nonempty(a: TreeAutomaton, b: TreeAutomaton,
@@ -365,6 +473,7 @@ def project(a: TreeAutomaton, f, alphabet=None):
 
     The language is the f-image of L(a). `alphabet` defaults to the f-image
     of a's alphabet; pass a larger one to embed into a wider symbol set.
+    Relabelled transitions that coincide are kept once, at the first.
     """
     fmap = {sym: f(sym) for sym in a.alphabet}
     image = set(fmap.values())
@@ -374,53 +483,54 @@ def project(a: TreeAutomaton, f, alphabet=None):
         missing = image - set(alphabet)
         if missing:
             raise AlphabetMismatchError(f"project: image symbols missing from alphabet: {len(missing)}")
-    trs = dict.fromkeys((ch, fmap[sym], q) for ch, sym, q in a.transitions)
-    return TreeAutomaton.raw(osorted(set(alphabet)), a.states, a.final, trs)
+    alphabet = osorted(set(alphabet))
+    apos = {sym: i for i, sym in enumerate(alphabet)}
+    spos = [apos[fmap[sym]] for sym in a.alphabet]
+    left, right, syms, target = a.columns
+    rows = dict.fromkeys(zip(left, right, map(spos.__getitem__, syms), target))
+    return TreeAutomaton.from_columns(alphabet, a.states, a.final_ids, int_columns(rows))
 
 
-def _inhabited(aut: TreeAutomaton) -> set:
-    """The set of states that some term reaches (Horn propagation).
+def _alive(aut: TreeAutomaton) -> bytearray:
+    """Flags, by state position, of the states that some term reaches
+    (Horn propagation), plus one last flag that is set: flags[-1], the
+    absent child, reads as reached.
 
     One pass in transition order. A transition whose children are all
     inhabited inhabits its target; one that still misses a child waits on
     that child's watch list and is retried when the child becomes
     inhabited. In automata built forwards (products, closures) a state's
     first incoming rule comes before every rule that reads it, so nothing
-    waits there. The result is a set: it carries no order.
+    waits there.
     """
-    alive = set()
-    watch = {}  # missing child -> [(children, target)] waiting on it
-    for children, _sym, q in aut.transitions:
-        if q in alive:
+    alive = bytearray(len(aut.states) + 1)
+    alive[-1] = 1
+    watch = {}  # missing child -> [(left, right, target)] waiting on it
+    left, right, _, target = aut.columns
+    for l, r, q in zip(left, right, target):
+        if alive[q]:
             continue
-        for c in children:
-            if c not in alive:
-                watch.setdefault(c, []).append((children, q))
-                break
+        if not alive[l]:
+            watch.setdefault(l, []).append((l, r, q))
+        elif not alive[r]:
+            watch.setdefault(r, []).append((l, r, q))
         else:
-            alive.add(q)
+            alive[q] = 1
             if not watch:
                 continue
             woken = [q]
             while woken:
-                for ch, t in watch.pop(woken.pop(), ()):
-                    if t in alive:
+                for l2, r2, t in watch.pop(woken.pop(), ()):
+                    if alive[t]:
                         continue
-                    for c in ch:
-                        if c not in alive:
-                            watch.setdefault(c, []).append((ch, t))
-                            break
+                    if not alive[l2]:
+                        watch.setdefault(l2, []).append((l2, r2, t))
+                    elif not alive[r2]:
+                        watch.setdefault(r2, []).append((l2, r2, t))
                     else:
-                        alive.add(t)
+                        alive[t] = 1
                         woken.append(t)
     return alive
-
-
-def _within(trs, keep):
-    """The transitions whose target and children all lie in `keep`."""
-    return [tr for tr in trs if tr[2] in keep
-            and (not tr[0] or (tr[0][0] in keep
-                               and (len(tr[0]) == 1 or tr[0][1] in keep)))]
 
 
 def trim(aut: TreeAutomaton, budget: Budget | None = None) -> TreeAutomaton:
@@ -428,39 +538,62 @@ def trim(aut: TreeAutomaton, budget: Budget | None = None) -> TreeAutomaton:
 
     The kept states, final states and transitions stay in the input's
     order, so a dump of the result does not depend on how the states are
-    encoded (dense ints or deep tuples). When every state is inhabited the
-    first filter is skipped, and when every inhabited state is useful the
-    second; with nothing to drop, the input itself is returned.
+    encoded (dense ints or deep tuples). Runs on the columns: one pass
+    flags the inhabited states (`_alive`), one collects per target the
+    set of children of the rules among them, for the backward search
+    from the final states, and one copies the rules among the useful
+    states into new columns, renumbered. The sets hold each (target,
+    child) once, however many rules repeat it. With nothing to drop, the
+    input itself is returned.
 
-    With a budget, its deadline is checked before each of the two passes."""
+    With a budget, its deadline is checked before the first pass and
+    before the last."""
     if budget is not None:
         budget.check_time("trim")
-    alive = _inhabited(aut)
-    all_alive = len(alive) == len(aut.states)
-    live_trs = aut.transitions if all_alive else _within(aut.transitions, alive)
-    back = {}
-    for children, _sym, q in live_trs:
-        if children:
-            back.setdefault(q, []).append(children)
-    useful = {q for q in aut.final if q in alive}
-    agenda = list(useful)
+    n = len(aut.states)
+    alive = _alive(aut)
+    all_alive = alive.count(1) == n + 1
+    left, right, syms, target = aut.columns
+    back = defaultdict(set)  # target -> children of its inhabited rules
+    for l, r, q in zip(left, right, target):
+        if l >= 0 and (all_alive or alive[q] and alive[l] and alive[r]):
+            got = back[q]
+            got.add(l)
+            got.add(r)  # -1 for a unary rule, which reads as useful
+    useful = bytearray(n + 1)
+    useful[-1] = 1
+    agenda = [q for q in aut.final_ids if alive[q]]
+    for q in agenda:
+        useful[q] = 1
     while agenda:
-        for children in back.get(agenda.pop(), ()):
-            for c in children:
-                if c not in useful:
-                    useful.add(c)
-                    agenda.append(c)
+        for c in back.pop(agenda.pop(), ()):
+            if not useful[c]:
+                useful[c] = 1
+                agenda.append(c)
+    back = None
     if budget is not None:
         budget.check_time("trim")
-    if len(useful) == len(alive):
-        if all_alive:
-            return aut
-        trs = live_trs
-    else:
-        trs = _within(live_trs, useful)
-    final = [q for q in aut.final if q in useful]
-    states = [q for q in aut.states if q in useful]
-    return TreeAutomaton.raw(aut.alphabet, states, final, trs)
+    if useful.count(1) == n + 1:
+        return aut
+    # new position by old, -1 (also at [-1]) for a dropped state
+    renumber = [-1] * (n + 1)
+    kept = []
+    for i in range(n):
+        if useful[i]:
+            renumber[i] = len(kept)
+            kept.append(i)
+    cols = int_columns()
+    add_l, add_r, add_s, add_q = (col.append for col in cols)
+    for l, r, s, q in zip(left, right, syms, target):
+        if useful[q] and useful[l] and useful[r]:
+            add_l(renumber[l])
+            add_r(renumber[r])
+            add_s(s)
+            add_q(renumber[q])
+    states = aut.states
+    return TreeAutomaton.from_columns(
+        aut.alphabet, [states[i] for i in kept],
+        [renumber[q] for q in aut.final_ids if useful[q]], cols)
 
 
 def _refine(n, sig_of, budget=None):
@@ -492,22 +625,22 @@ def _refine(n, sig_of, budget=None):
         block, nblocks = newblock, count
 
 
-def _by_arity(trs):
-    """Split int transitions (children, symbol, target) into parallel int
-    columns: leaf (targets, symbols), unary (children, symbols, targets)
-    and binary (lefts, rights, symbols, targets)."""
-    lq, ls, uc, us, uq, bl, br, bs, bq = ([] for _ in range(9))
-    for ch, sy, q in trs:
-        if not ch:
+def _by_arity(cols):
+    """Split transition columns into parallel int columns by arity: leaf
+    (targets, symbols), unary (children, symbols, targets) and binary
+    (lefts, rights, symbols, targets)."""
+    lq, ls, uc, us, uq, bl, br, bs, bq = (array("i") for _ in range(9))
+    for l, r, sy, q in zip(*cols):
+        if l < 0:
             lq.append(q)
             ls.append(sy)
-        elif len(ch) == 1:
-            uc.append(ch[0])
+        elif r < 0:
+            uc.append(l)
             us.append(sy)
             uq.append(q)
         else:
-            bl.append(ch[0])
-            br.append(ch[1])
+            bl.append(l)
+            br.append(r)
             bs.append(sy)
             bq.append(q)
     return (lq, ls), (uc, us, uq), (bl, br, bs, bq)
@@ -564,38 +697,20 @@ def reduce_bisim(aut: TreeAutomaton, budget: Budget | None = None) -> TreeAutoma
     at position i (with the same concrete siblings) has a matching rule
     using the other into an equivalent target.
 
-    States and symbols are encoded once as their positions, refinement
-    runs on per-arity int columns (`_refine`: it stops at a discrete
-    partition and keeps one round of signatures alive), and the result is
-    decoded once. A pass that merges something quotients the int
-    transitions: they are deduplicated in first-occurrence order and the
-    blocks numbered in first-seen state order. The result's states are
-    therefore 0..n-1 in the order `to_json` numbers them, and its dump
-    does not depend on how the input's states are encoded. An input whose
-    states already are 0..n-1 is read in place, and its int transition
-    list is built only if a pass merges; when nothing merges, the result
-    is the input itself. Any other input is relabelled by position. With a
-    budget, its deadline is checked once per refinement round and at
-    least once per call."""
-    states, alphabet = aut.states, aut.alphabet
-    n = len(states)
-    dense = states == tuple(range(n))
-    aidx = {a: i for i, a in enumerate(alphabet)}
-    if dense:
-        trs = None
-        fin = set(aut.final)
-    else:
-        sidx = {s: i for i, s in enumerate(states)}
-        trs = [(tuple([sidx[c] for c in ch]), aidx[sym], sidx[q])
-               for ch, sym, q in aut.transitions]
-        fin = {sidx[q] for q in aut.final}
-
-    def int_trs():
-        if trs is None:
-            return ((ch, aidx[sym], q) for ch, sym, q in aut.transitions)
-        return trs
-
-    leaves, unary, binary = _by_arity(int_trs())
+    Refinement runs on the columns, split by arity (`_refine`: it stops
+    at a discrete partition and keeps one round of signatures alive). A
+    pass that merges something quotients the columns: the transitions
+    are deduplicated in first-occurrence order and the blocks numbered in
+    first-seen state order. The result's states are therefore 0..n-1 in
+    the order `to_json` numbers them, and its dump does not depend on how
+    the input's states are encoded. When nothing merges, the result is
+    the input itself if its states are 0..n-1, else the input's columns
+    over the states 0..n-1. With a budget, its deadline is checked once
+    per refinement round and at least once per call."""
+    n = len(aut.states)
+    fin = aut.final_ids
+    cols = aut.columns
+    leaves, unary, binary = _by_arity(cols)
     merged = False
     while True:
         before = n
@@ -605,22 +720,20 @@ def reduce_bisim(aut: TreeAutomaton, budget: Budget | None = None) -> TreeAutoma
             block, nb = _refine(n, sig_of, budget)
             if nb == n:
                 continue
-            trs = list(dict.fromkeys(
-                (ch if not ch else (block[ch[0]],) if len(ch) == 1
-                 else (block[ch[0]], block[ch[1]]), sy, block[q])
-                for ch, sy, q in int_trs()))
+            block.append(-1)  # block[-1]: an absent child stays absent
+            left, right, syms, target = cols
+            blk = block.__getitem__
+            cols = int_columns(dict.fromkeys(zip(map(blk, left), map(blk, right),
+                                             syms, map(blk, target))))
             fin = {block[q] for q in fin}
             n = nb
-            leaves, unary, binary = _by_arity(trs)
+            leaves, unary, binary = _by_arity(cols)
             merged = True
         if n == before:
             break
-    if not merged:
-        if dense:
-            return aut
-        trs = dict.fromkeys(trs)
-    return TreeAutomaton.raw(alphabet, range(n), fin,
-                             [(ch, alphabet[sy], q) for ch, sy, q in trs])
+    if not merged and _is_dense(aut.states):
+        return aut
+    return TreeAutomaton.from_columns(aut.alphabet, range(n), fin, cols)
 
 
 def extract_witness(aut: TreeAutomaton, budget: Budget | None = None):
@@ -632,59 +745,69 @@ def extract_witness(aut: TreeAutomaton, budget: Budget | None = None):
     in transition order; the first final state to acquire a witness (round
     order, then the order of the transitions taken) is reported. Each
     transition waits on one missing child at a time, so the whole search
-    reads each transition a bounded number of times. With a budget, its
-    deadline is checked once per round.
+    reads each transition a bounded number of times. It runs on the
+    columns, with transition positions in `array("i")` wait lists. With a
+    budget, its deadline is checked once per round.
     """
-    trs = aut.transitions
-    ready = []    # positions of the transitions ready in the next round
-    waiting = {}  # state -> positions of the transitions waiting on it
-    for k, (children, _sym, _q) in enumerate(trs):
-        if children:
-            waiting.setdefault(children[0], []).append(k)
-        else:
+    left, right, _, target = aut.columns
+    ready = array("i")  # positions of the transitions ready in the next round
+    waiting = {}        # state -> positions of the transitions waiting on it
+    for k, l in enumerate(left):
+        if l < 0:
             ready.append(k)
-    choice = {}   # state -> (children, symbol) of the transition it took
+        else:
+            got = waiting.get(l)
+            if got is None:
+                got = waiting[l] = array("i")
+            got.append(k)
+    fin = aut.final_ids
+    choice = {}   # state -> position of the transition it took
     while ready:
         if budget is not None:
             budget.check_time("extract_witness")
         taken = {}  # state new this round -> position of its first ready rule
         for k in ready:
-            q = trs[k][2]
+            q = target[k]
             if q not in choice and taken.get(q, k) >= k:
                 taken[q] = k
-        for q, k in taken.items():
-            choice[q] = trs[k][:2]
-        hits = [k for q, k in taken.items() if q in aut.final]
+        choice.update(taken)
+        hits = [k for q, k in taken.items() if q in fin]
         if hits:
-            return _build_term(trs[min(hits)][2], choice, {})
-        ready = []
+            return _build_term(target[min(hits)], choice, aut, {})
+        ready = array("i")
         for q in taken:
             for k in waiting.pop(q, ()):
-                children, _sym, target = trs[k]
-                if target in choice:
+                if target[k] in choice:
                     continue
-                for c in children:
-                    if c not in choice:
-                        waiting.setdefault(c, []).append(k)
-                        break
-                else:
+                l, r = left[k], right[k]
+                c = l if l not in choice else r if r >= 0 and r not in choice else None
+                if c is None:
                     ready.append(k)
+                else:
+                    got = waiting.get(c)
+                    if got is None:
+                        got = waiting[c] = array("i")
+                    got.append(k)
     return None
 
 
-def _build_term(q, choice, memo):
-    """The term of state q from the chosen (children, symbol) per state."""
+def _build_term(q, choice, aut, memo):
+    """The term of state q from the chosen transition per state."""
     got = memo.get(q)
     if got is None:
-        children, sym = choice[q]
-        got = memo[q] = term(sym, *[_build_term(c, choice, memo) for c in children])
+        k = choice[q]
+        l, r = aut.columns[0][k], aut.columns[1][k]
+        children = () if l < 0 else (l,) if r < 0 else (l, r)
+        got = memo[q] = term(aut.alphabet[aut.columns[2][k]],
+                             *[_build_term(c, choice, aut, memo) for c in children])
     return got
 
 
 def _partner_group(aut: TreeAutomaton, side, si, c):
     """The binary rules of symbol position si with child c on `side` (0:
     left, 1: right), grouped by their other child: {other: (positions in
-    the rule list of `_child_indexes`)}, each ascending.
+    the rule list of `_child_indexes`)}, each ascending. List positions
+    are small ints, which Python shares, where column positions are not.
 
     Built on first use per (side, si, c) and kept in the automaton's
     `_groups` slot, so a long-lived automaton pays only for the groups
@@ -696,9 +819,9 @@ def _partner_group(aut: TreeAutomaton, side, si, c):
     got = groups[side][si].get(c)
     if got is None:
         got = {}
-        other = 1 - side
-        for k, (children, _s, _q) in enumerate(_child_indexes(aut)[3 + side][si][c]):
-            got.setdefault(children[other], []).append(k)
+        other = aut.columns[1 - side]
+        for i, k in enumerate(_child_indexes(aut)[3 + side][si][c]):
+            got.setdefault(other[k], []).append(i)
         # tuples: the groups of a cached automaton live as long as it does
         got = groups[side][si][c] = {o: tuple(ks) for o, ks in got.items()}
     return got
@@ -717,18 +840,16 @@ def symbol_to_obj(sym):
 
 def to_json(aut: TreeAutomaton) -> dict:
     """Canonical JSON object: states densely renumbered in sorted order.
-    Each alphabet symbol is encoded once and its encoding shared."""
-    index = {q: i for i, q in enumerate(aut.states)}
-    enc = {sym: symbol_to_obj(sym) for sym in aut.alphabet}
+    Each alphabet symbol is encoded once and its encoding shared. Read
+    from the columns, whose state positions are the dump's numbers."""
+    enc = [symbol_to_obj(sym) for sym in aut.alphabet]
     return {
-        "alphabet": [enc[s] for s in aut.alphabet],
+        "alphabet": enc,
         "states": len(aut.states),
-        "final": sorted(index[q] for q in aut.final),
+        "final": sorted(aut.final_ids),
         "transitions": [
-            {"children": [index[c] for c in ch],
-             "symbol": enc[sym] if sym in enc else symbol_to_obj(sym),
-             "to": index[q]}
-            for ch, sym, q in aut.transitions
+            {"children": [] if l < 0 else [l] if r < 0 else [l, r],
+             "symbol": enc[s], "to": q}
+            for l, r, s, q in zip(*aut.columns)
         ],
     }
-

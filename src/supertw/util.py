@@ -44,10 +44,11 @@ def osorted(xs):
 def gc_paused():
     """Disable the cyclic garbage collector for the duration, if enabled.
 
-    A pipeline run allocates a few container objects per automaton
-    transition (tuples, frozenset states, symbols). They live until the
-    run ends and almost never form cycles, yet every full collection walks
-    all of them; reference counting frees the acyclic garbage either way.
+    A pipeline run allocates many container objects (product-state keys,
+    subsets, cache entries; transitions are int columns). They live until
+    the run ends and almost never form cycles, yet every full collection
+    walks all of them; reference counting frees the acyclic garbage
+    either way.
     The collector state is process-wide, so a thread running beside the
     body sees it paused too. When the collector is already disabled on
     entry, nothing changes: nested uses and a caller's own `gc.disable()`

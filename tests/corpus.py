@@ -1,11 +1,18 @@
-"""Small graph builders and helpers shared across the test suite."""
+"""Small graph builders and helpers shared across the test suite.
+
+`is_isomorphic`, `is_subgraph`, `all_subgraphs` and `tautology` check
+and drive the pipeline from the tests; nothing in the package uses them.
+"""
 
 import gc
 import inspect
 import sys
+from itertools import combinations
 
-from supertw.graph import Graph
+from supertw.cmso.ast import TrueF
+from supertw.graph import Graph, _edge_profile
 from supertw.tree_automata import TreeAutomaton
+from supertw.util import osorted
 
 
 def collections_inside(entry, call):
@@ -125,3 +132,71 @@ def connected_small_corpus():
         ("bull", bull()),
         ("multi2", multi_edge(2)),
     ]
+
+
+def tautology():
+    return TrueF()
+
+
+def is_isomorphic(g: Graph, h: Graph):
+    """Exhaustive isomorphism test; returns a vertex bijection or None.
+
+    Multigraph-aware: a vertex bijection works iff endpoint-pair multiplicities
+    match (parallel edges are interchangeable). Intended for small graphs.
+    """
+    if len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
+        return None
+    if sorted(g.degree(v) for v in g.vertices) != sorted(h.degree(v) for v in h.vertices):
+        return None
+    gprof = _edge_profile(g)
+    hprof = _edge_profile(h)
+    if gprof.get(None, 0) != hprof.get(None, 0):
+        return None
+
+    gs = osorted(g.vertices)
+    hs = list(h.vertices)
+
+    def extend(i, mapping, used):
+        if i == len(gs):
+            return dict(mapping)
+        v = gs[i]
+        for u in hs:
+            if u in used or h.degree(u) != g.degree(v):
+                continue
+            ok = True
+            for w, uw in mapping.items():
+                need = gprof.get(frozenset((v, w)), 0)
+                have = hprof.get(frozenset((u, uw)), 0)
+                if need != have:
+                    ok = False
+                    break
+            if ok:
+                mapping[v] = u
+                used.add(u)
+                got = extend(i + 1, mapping, used)
+                if got is not None:
+                    return got
+                del mapping[v]
+                used.discard(u)
+        return None
+
+    return extend(0, {}, set())
+
+
+def is_subgraph(h: Graph, g: Graph) -> bool:
+    """True iff h's vertices/edges/incidence are literally contained in g's."""
+    return (set(h.vertices) <= set(g.vertices)
+            and set(h.edges) <= set(g.edges)
+            and all(h.ends[e] == g.ends[e] for e in h.edges))
+
+
+def all_subgraphs(g: Graph):
+    """Yield every subgraph (V' ⊆ V with all edges whose endpoints fit, chosen freely)."""
+    vs = list(g.vertices)
+    for k in range(len(vs) + 1):
+        for vsel in combinations(vs, k):
+            vset = set(vsel)
+            eligible = [e for e in g.edges if g.ends[e] <= vset]
+            for m in range(len(eligible) + 1):
+                for esel in combinations(eligible, m):
+                    yield Graph(vsel, {e: g.ends[e] for e in esel})

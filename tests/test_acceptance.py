@@ -14,12 +14,10 @@ from supertw.cmso.ast import And, Not, Or
 from supertw.cmso.compile import compile as compile_formula
 from supertw.cmso.evaluate import eval_direct
 from supertw.cmso.generators import (even_order, gen_diam, gen_vertex_cover,
-                                     no_isolated_vertex, some_vertex,
-                                     tautology)
+                                     no_isolated_vertex, some_vertex)
 from supertw.decomp import (bag_alphabet, decode_graph, decomposition_to_json,
                             enumerate_sub_decompositions, encode, width)
-from supertw.graph import (Graph, all_subgraphs, embeds_as_subgraph,
-                           graph_to_json, is_isomorphic)
+from supertw.graph import Graph, embeds_as_subgraph, graph_to_json
 from supertw.oracle import (SupergraphBudget, exact_treewidth,
                             optimal_decomposition, search_supergraph)
 from supertw.solver import clear_caches, has_supergraph, witness_supergraph
@@ -28,9 +26,9 @@ from supertw.terms import enumerate_terms, term
 from supertw.tree_automata import extract_witness, run
 from supertw.tree_automata import to_json as automaton_to_json
 from supertw.util import Budget
-from corpus import (bull, complete, connected_small_corpus, cycle,
-                          diamond, grid_2x3, multi_edge, path, paw,
-                          single_vertex, star)
+from corpus import (all_subgraphs, bull, complete, connected_small_corpus,
+                    cycle, diamond, grid_2x3, is_isomorphic, multi_edge, path,
+                    paw, single_vertex, star, tautology)
 from reference_decomps import build_count_automaton
 
 SOLVER_BUDGET = 10 ** 8

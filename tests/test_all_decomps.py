@@ -20,13 +20,13 @@ from supertw.decomp import (TDNode, bag, bag_alphabet, decode_graph, encode,
                             labels_of, s_maximal_components)
 from supertw.errors import (InvalidBagError, NotConnectedError,
                             ResourceExceededError)
-from supertw.graph import Graph, is_isomorphic
+from supertw.graph import Graph
 from supertw.terms import enumerate_terms, map_symbols, term
 from supertw.tree_automata import (TreeAutomaton, accepts, extract_witness,
                                    intersect, to_json)
 from supertw.util import Budget
-from corpus import (complete, connected_small_corpus, cycle, multi_edge,
-                    path, paw, single_vertex, star)
+from corpus import (complete, connected_small_corpus, cycle, is_isomorphic,
+                    multi_edge, path, paw, single_vertex, star)
 from reference_decomps import (GtBag, build_count_automaton,
                                build_gt_automaton, is_gt_compatible)
 

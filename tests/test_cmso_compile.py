@@ -27,8 +27,7 @@ from supertw.cmso.compile import (_COMPILE_CACHE, _Compiler, _SubsetSim,
                                   subset_product, validity_automaton)
 from supertw.cmso.evaluate import eval_direct
 from supertw.cmso.generators import (even_order, gen_diam, gen_vertex_cover,
-                                     no_isolated_vertex, some_vertex,
-                                     tautology)
+                                     no_isolated_vertex, some_vertex)
 from supertw.cmso.parser import parse
 from supertw.decomp import bag_alphabet, decode_graph, s_maximal_components
 from supertw.errors import (AlphabetMismatchError, CmsoKindError,
@@ -39,7 +38,7 @@ from supertw.tree_automata import (TreeAutomaton, accepts, intersect,
                                    intersection_nonempty,
                                    reduce_bisim, run, to_json, trim)
 from supertw.util import Budget
-from corpus import collections_inside
+from corpus import collections_inside, tautology
 from test_tree_automata import (AB, TERMS3, intersect_reference, language,
                                 random_automaton)
 

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from corpus import complete, cycle, multi_edge, path, single_vertex, spider
+from corpus import (all_subgraphs, complete, cycle, is_isomorphic, multi_edge,
+                    path, single_vertex, spider)
 from supertw.decomp import (ConcreteBag, TDNode, bag, bag_alphabet,
                             decode_graph, decomposition_from_json,
                             decomposition_to_json,
@@ -10,7 +11,7 @@ from supertw.decomp import (ConcreteBag, TDNode, bag, bag_alphabet,
                             is_sub_decomposition, is_valid_decomposition,
                             s_maximal_components, sub_bags, td_width, width)
 from supertw.errors import InvalidBagError, InvalidDecompositionError
-from supertw.graph import Graph, all_subgraphs, is_isomorphic
+from supertw.graph import Graph
 from supertw.oracle import optimal_decomposition
 from supertw.terms import term
 

@@ -3,9 +3,9 @@ import math
 import pytest
 
 from supertw.errors import InvalidGraphError
-from supertw.graph import (Graph, all_subgraphs, diameter, embeds_as_subgraph,
-                           graph_from_json, graph_to_json, is_connected,
-                           is_isomorphic, is_subgraph, load_graph)
+from supertw.graph import (Graph, diameter, embeds_as_subgraph, graph_from_json,
+                           graph_to_json, is_connected, load_graph)
+from corpus import all_subgraphs, is_isomorphic, is_subgraph
 
 
 def path(n):

@@ -13,13 +13,12 @@ import pytest
 from supertw.cmso.ast import Inc, Var, VarKind
 from supertw.cmso.evaluate import eval_direct
 from supertw.cmso.generators import (even_order, gen_diam, gen_vertex_cover,
-                                     no_isolated_vertex, simple_graph,
-                                     tautology)
+                                     no_isolated_vertex, simple_graph)
 from supertw.cmso.compile import compile as compile_formula
 from supertw.decomp import bag_alphabet, decode_graph, width
 from supertw.errors import (CmsoKindError, NotConnectedError,
                             ResourceExceededError)
-from supertw.graph import Graph, embeds_as_subgraph, is_isomorphic
+from supertw.graph import Graph, embeds_as_subgraph
 from supertw.oracle import SupergraphBudget, exact_treewidth, search_supergraph
 from supertw import solver
 from supertw.solver import (clear_caches, has_supergraph, lift_to_pairs,
@@ -29,7 +28,8 @@ from supertw.subdecomp import pair_alphabet
 from supertw.terms import enumerate_terms, map_symbols
 from supertw.tree_automata import TreeAutomaton, accepts
 from supertw.util import Budget
-from corpus import collections_inside, cycle, path, single_vertex
+from corpus import (collections_inside, cycle, is_isomorphic, path,
+                    single_vertex, tautology)
 
 DIAM1 = gen_diam(1)
 

@@ -8,8 +8,8 @@ import pytest
 from supertw.errors import (AlphabetMismatchError, ResourceExceededError,
                             UnknownSymbolError)
 from supertw.terms import enumerate_terms, map_symbols, term
-from supertw.tree_automata import (TreeAutomaton, _child_indexes, _inhabited,
-                                   _refine, accepts, extract_witness, intersect,
+from supertw.tree_automata import (TreeAutomaton, _alive, _refine, accepts,
+                                   extract_witness, intersect,
                                    intersection_nonempty, project,
                                    reduce_bisim, run, to_json, trim)
 from supertw.util import Budget
@@ -229,6 +229,11 @@ def test_extract_witness_checks_the_deadline(seed):
 # `intersect` replaced: they work on the states as given and relabel by
 # position after every pass. The new kernels must reproduce their states,
 # final sets and transitions, order included.
+
+def _inhabited(aut):
+    """The states `trim` finds inhabited (`_alive`), as a set."""
+    return {q for q, f in zip(aut.states, _alive(aut)) if f}
+
 
 def inhabited_reference(aut):
     by_need = {}
@@ -617,11 +622,30 @@ def test_intersect_matches_reference(seed):
 # pair and tests the other children's pair as it goes. Both must discover
 # the same pairs in the same order.
 
+def child_indexes_reference(aut):
+    """Per symbol position: leaf targets, unary {child: [target]} and
+    binary rules by left and by right child, read from `.transitions`."""
+    pos = {sym: i for i, sym in enumerate(aut.alphabet)}
+    leaf, unary, left, right = ([[] if k == 0 else {} for _ in pos]
+                                for k in range(4))
+    for tr in aut.transitions:
+        children, sym, q = tr
+        si = pos[sym]
+        if not children:
+            leaf[si].append(q)
+        elif len(children) == 1:
+            unary[si].setdefault(children[0], []).append(q)
+        else:
+            left[si].setdefault(children[0], []).append(tr)
+            right[si].setdefault(children[1], []).append(tr)
+    return leaf, unary, left, right
+
+
 def intersection_nonempty_reference(a, b, budget=None):
     if budget is None:
         budget = Budget()
-    _, aL, aU, aB1, aB2 = _child_indexes(a)
-    _, bL, bU, bB1, bB2 = _child_indexes(b)
+    aL, aU, aB1, aB2 = child_indexes_reference(a)
+    bL, bU, bB1, bB2 = child_indexes_reference(b)
     pairs = set()
     agenda = deque()
 
