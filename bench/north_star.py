@@ -1,11 +1,12 @@
 """North-star compiles, each in a fresh process, parent and change alternating.
 
-    python3 bench/north_star.py PARENT_DIR CHANGE_DIR --runs 2 --out bench.json
+    python3 bench/north_star.py PARENT_DIR CHANGE_DIR --out bench.json
 
 PARENT_DIR and CHANGE_DIR are two source checkouts. Each run of an
 instance starts one interpreter per side, with that checkout's `src` on
-PYTHONPATH and a 3 GB address-space limit; run k starts the parent first
-when k is even, the change first when it is odd. The instances are:
+PYTHONPATH and a 3 GB address-space limit; each instance runs RUNS times,
+and run k starts the parent first when k is even, the change first when
+it is odd. The instances are:
 
 - `compile_diam1_t4`: compile(gen_diam(1), 4) from empty caches, with
   its seconds, `charged` (Budget.used), `ru_maxrss_kb`, states,
@@ -28,6 +29,7 @@ import sys
 from pathlib import Path
 
 CAP = 5 * 10 ** 6
+RUNS = 2
 MEM_LIMIT = 3 * 1024 ** 3
 
 CHILD = r"""
@@ -86,15 +88,13 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent")
     ap.add_argument("change")
-    ap.add_argument("--runs", type=int, default=2)
-    ap.add_argument("--instances", nargs="+", default=sorted(WHAT))
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
-    for name in args.instances:
+    for name in sorted(WHAT):
         runs = {"parent": [], "change": []}
-        for k in range(args.runs):
+        for k in range(RUNS):
             for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
                 res = run_one(getattr(args, side), name)
                 runs[side].append(res)

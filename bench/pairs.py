@@ -21,11 +21,8 @@ the change wins, the metric's `bound` and a `verdict` against it: "worse"
 if the change's median is worse by more than the bound, "unresolved" if
 the parent's quartile spread exceeds the bound times the parent's median
 and some change run is not better than every parent run, else "holds",
-for an "unresolved" solve-time metric an `instance_verdict` read on
-the per-instance medians instead, and for an "unresolved" `setup_s` or
-`wall_s` a `min_verdict` read on each run's minimum (`setup_s_min`, the
-least set-up of the run's children, and `wall_s_min`, its fastest
-complete pass); per instance label
+and for an "unresolved" solve-time metric an `instance_verdict` read on
+the per-instance medians instead; per instance label
 (`instance_summary`), both sides' median across pairs and the pairs the
 change wins; each side's total of failed operations
 over all pairs; and each checkout's `src` line count.
@@ -46,8 +43,8 @@ from pathlib import Path
 
 def run_side(checkout, workload, seed, seconds):
     """One `perfbench/run.py` run in `checkout`: (result line, the
-    (id, answer, charged, digest) of its solves, per-instance medians,
-    slowest instance by label and the run's minima, `run_minima`)."""
+    (id, answer, charged, digest) of its solves, per-instance medians and
+    slowest instance by label)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     got = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -66,30 +63,7 @@ def run_side(checkout, workload, seed, seconds):
     per_instance = {"instance_medians": {labels[i]: m for i, m
                                          in sorted(notes["instance_medians"].items())},
                     "tail_instance": labels.get(notes["tail_instance"])}
-    per_instance.update(run_minima(record["solves"]))
     return result, solves, per_instance
-
-
-# metric -> its per-run minimum, read by `run_minima`
-MINIMA = {"setup_s": "setup_s_min", "wall_s": "wall_s_min"}
-
-
-def run_minima(children):
-    """The least `setup_s` of a run's children and the least `wall_s` of
-    its complete passes, from the `solves` of a `perfbench/out` record: a
-    pass is complete when every child of it ran every solve, and its
-    `wall_s` is the sum of their solve seconds, as `perfbench/run.py`
-    counts it. None where the run has no such sample."""
-    setups = [c["setup_s"] for c in children if c["setup_s"] is not None]
-    walls = {}
-    for c in children:
-        times = [r["seconds"] for r in c["records"]]
-        complete = c["error"] is None and None not in times
-        wall = walls.get(c["pass"], 0.0)
-        walls[c["pass"]] = wall + sum(times) if complete and wall is not None else None
-    walls = [w for w in walls.values() if w is not None]
-    return {"setup_s_min": min(setups, default=None),
-            "wall_s_min": min(walls, default=None)}
 
 
 def outcomes(solves):
@@ -152,9 +126,7 @@ def summarize(pairs, metrics, instances):
     A solve-time metric (`solve_s_*`) that reads "unresolved" also gets
     the `instance_verdict` of `instances` (`summarize_instances`): its
     pooled samples are the solves, which the per-instance medians split
-    by instance, so one instance's spread no longer hides another's. An
-    "unresolved" metric of `MINIMA` gets a `min_verdict`, the same test
-    on each run's minimum, which the slow outliers of a run never reach."""
+    by instance, so one instance's spread no longer hides another's."""
     out = {}
     for name, spec in metrics.items():
         parent = [p["parent"][name] for p in pairs]
@@ -170,11 +142,6 @@ def summarize(pairs, metrics, instances):
                      "verdict": verdict(parent, change, sign, spec["bound"])}
         if out[name]["verdict"] == "unresolved" and name.startswith("solve_s"):
             out[name]["instance_verdict"] = instance_verdict(instances, spec["bound"])
-        if out[name]["verdict"] == "unresolved" and name in MINIMA:
-            key = MINIMA[name]
-            mins = [[p[side].get(key) for p in pairs] for side in ("parent", "change")]
-            if None not in mins[0] + mins[1]:  # a run with no sample fails
-                out[name]["min_verdict"] = verdict(*mins, sign, spec["bound"])
     return out
 
 

@@ -46,50 +46,3 @@ def test_resolved_metric_gets_no_instance_verdict():
     got = summary(make_pairs([1.0] * 4, [0.9] * 4, 1.0, 2.0))
     assert got["solve_s_p50"]["verdict"] == "holds"
     assert "instance_verdict" not in got["solve_s_p50"]
-
-
-def with_minima(pairs, parent_mins, change_mins):
-    """pairs with each side's per-run minima of `setup_s` and `wall_s`."""
-    for p, pm, cm in zip(pairs, parent_mins, change_mins):
-        for side, m in (("parent", pm), ("change", cm)):
-            p[side]["setup_s"] = p[side]["wall_s"]
-            p[side]["setup_s_min"] = p[side]["wall_s_min"] = m
-    return pairs
-
-
-def test_unresolved_setup_and_wall_get_a_min_verdict():
-    metrics = {"setup_s": {"better": "lower", "bound": 0.25},
-               "wall_s": {"better": "lower", "bound": 0.25}}
-    # pooled medians spread widely on the parent: both read "unresolved";
-    # the minima are tight, so their verdict decides
-    parent = [1.0, 2.0, 1.0, 2.0, 1.0, 2.0]
-    change = [1.1, 2.1, 1.1, 2.1, 1.1, 2.1]
-    for change_min, want in ((0.95, "holds"), (1.4, "worse")):
-        pairs = with_minima(make_pairs(parent, change, 1.0, 1.0),
-                            [0.9, 0.92, 0.91, 0.9, 0.93, 0.9], [change_min] * 6)
-        got = pairs_mod.summarize(pairs, metrics, pairs_mod.summarize_instances(pairs))
-        for name in metrics:
-            assert got[name]["verdict"] == "unresolved"
-            assert got[name]["min_verdict"] == want
-            assert "instance_verdict" not in got[name]
-    # a resolved metric gets no min_verdict
-    pairs = with_minima(make_pairs([1.0] * 4, [0.9] * 4, 1.0, 1.0), [1.0] * 4, [2.0] * 4)
-    got = pairs_mod.summarize(pairs, metrics, pairs_mod.summarize_instances(pairs))
-    assert got["wall_s"]["verdict"] == "holds"
-    assert "min_verdict" not in got["wall_s"]
-
-
-def test_run_minima_read_children_and_complete_passes():
-    def child(p, setup, seconds, error=None):
-        return {"pass": p, "traced": False, "error": error, "setup_s": setup,
-                "records": [{"id": i, "seconds": s} for i, s in enumerate(seconds)]}
-
-    children = [child(0, 0.8, [0.5, 0.25]), child(0, 0.6, [0.25]),
-                # pass 1 is the fastest but one of its solves failed
-                child(1, 0.7, [0.1, None]), child(1, 0.9, [0.1]),
-                # pass 2 lost a child
-                child(2, None, [], error="child timed out"), child(2, 0.5, [0.1]),
-                child(3, 0.9, [0.5]), child(3, 0.9, [0.25])]
-    assert pairs_mod.run_minima(children) == {"setup_s_min": 0.5, "wall_s_min": 0.75}
-    assert pairs_mod.run_minima([child(0, None, [], error="x")]) == {
-        "setup_s_min": None, "wall_s_min": None}
