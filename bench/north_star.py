@@ -50,7 +50,7 @@ if name == "compile_diam1_t4":
     out["ru_maxrss_kb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     out["charged"] = budget.used
     out["states"] = len(aut.states)
-    out["transitions"] = len(aut.transitions)
+    out["transitions"] = aut.n_transitions
     text = json.dumps(to_json(aut), sort_keys=True)
     out["sha256"] = hashlib.sha256(text.encode()).hexdigest()
 else:

@@ -18,23 +18,24 @@ complement, are sound:
 
 The validity automaton accepts exactly the canonical interpreted terms.
 Each subformula is compiled over exactly its own free variables, which
-keeps alphabets minimal deep in the formula.  A step-shaped subformula
-is one step machine run against the validity automaton of its scope by
-`functional_product` (`_step_machine`): any boolean combination of
-atoms, of exists e. inc(x1, e) and ... and inc(xk, e) (an edge on which
-every xi is flagged, so no scope with e), and of forall x. P(x) for the
-atoms P that make it pointwise over the outer scope (x in A, e in E,
-inc(x, e) bound at e).  Its state is the tuple of the atoms' states,
-which never reject except where a sticky bit dooms the whole formula, so
-negation flips a final test and no subset construction runs.  Every
-other boolean step is one construction, `subset_product`: the validity
-automaton of the node's scope in product with subset simulations of the
-operands, each lifted to that scope by reading symbols through a
-flag-erasure map.  It computes and, or, negation relative to validity,
-and the lift of an operand into a scope with a variable it does not use.
-Existential quantification is flag erasure (projection), one per
-quantifier block, and a final erasure to the plain bag alphabet yields
-the sentence automaton.
+keeps alphabets minimal deep in the formula.  Every boolean step is one
+construction: a step machine run against the validity automaton of its
+scope by `functional_product` (`_step_machine`).  Its leaves are atoms,
+exists e. inc(x1, e) and ... and inc(xk, e) (an edge on which every xi
+is flagged, so no scope with e), forall x. P(x) for the atoms P that
+make it pointwise over the outer scope (x in A, e in E, inc(x, e) bound
+at e), and compiled operands, read by subset simulation (`_SubsetSim`)
+and lifted into the scope through a flag-erasure map when theirs is
+narrower.  Its state is the tuple of the leaves' states, which never
+reject except where a sticky bit or an emptied subset dooms the whole
+formula, so negation flips a final test.  A step-shaped subformula, any
+boolean combination of the atom-like leaves, is one machine with no
+subset construction; any other not, and or or runs one over its
+operands, each compiled and shrunk first, and so does the lift of an
+operand into a scope with a variable it does not use.  Existential
+quantification is flag erasure (projection), one per quantifier block,
+and a final erasure to the plain bag alphabet yields the sentence
+automaton.
 """
 
 from __future__ import annotations
@@ -423,7 +424,9 @@ def functional_product(base, leaf_f, unary_f, binary_f, final_f, budget, stage):
 
 class _SubsetSim:
     """Subset simulation of an automaton, optionally reading the driving
-    symbols through an erasure map (to lift over a larger alphabet).
+    symbols through an erasure map (to lift over a larger alphabet): the
+    leaf of `_step_machine` for a compiled operand, whose steps are the
+    simulation's and whose final test is `hit`.
 
     Subsets hold the operand's state positions, read from its columns,
     which are its states when they are 0..n-1. `binary` interns each
@@ -432,7 +435,7 @@ class _SubsetSim:
     table lives and dies with the simulation."""
 
     def __init__(self, other, erase=None):
-        self.alphabet = alphabet = other.alphabet
+        alphabet = other.alphabet
         self.final = other.final_ids
         self.erase = erase
         leaf_by_sym = {}
@@ -487,77 +490,16 @@ class _SubsetSim:
         return bool(s & self.final)
 
 
-def subset_product(val, sims, mode, budget):
-    """Product of the validity automaton with subset simulations.
-
-    A product state pairs a state of val with one subset per simulation.
-    mode "and" accepts when every simulation hits a final state, and
-    prunes the states where some simulation dies. mode "or" accepts when
-    at least one hits. mode "not" accepts when none hits: with one
-    simulation it is L(val) minus the operand's language, the canonical
-    complement. The budget stage is "not" for "not" and "combine" for
-    "and" and "or". A simulation read without an erasure map must run
-    over val's alphabet.
-    """
-    for sim in sims:
-        if sim.erase is None and sim.alphabet != val.alphabet:
-            raise AlphabetMismatchError(
-                f"{mode}: operand and validity alphabets differ")
-    if mode == "and":
-        def leaf_f(sym):
-            out = []
-            for sim in sims:
-                s = sim.leaf(sym)
-                if not s:
-                    return None
-                out.append(s)
-            return tuple(out)
-
-        def unary_f(m, sym):
-            out = []
-            for s, sim in zip(m, sims):
-                s2 = sim.unary(s, sym)
-                if not s2:
-                    return None
-                out.append(s2)
-            return tuple(out)
-
-        def binary_f(m1, m2, sym):
-            out = []
-            for s1, s2, sim in zip(m1, m2, sims):
-                s3 = sim.binary(s1, s2, sym)
-                if not s3:
-                    return None
-                out.append(s3)
-            return tuple(out)
-
-        def final_f(m):
-            return all(map(_SubsetSim.hit, sims, m))
-    else:  # loops, not generators: negation runs these steps most
-        def leaf_f(sym):
-            return tuple(sim.leaf(sym) for sim in sims)
-
-        def unary_f(m, sym):
-            out = []
-            for s, sim in zip(m, sims):
-                out.append(sim.unary(s, sym))
-            return tuple(out)
-
-        def binary_f(m1, m2, sym):
-            out = []
-            for s1, s2, sim in zip(m1, m2, sims):
-                out.append(sim.binary(s1, s2, sym))
-            return tuple(out)
-
-        if mode == "or":
-            def final_f(m):
-                return any(map(_SubsetSim.hit, sims, m))
-        else:
-            def final_f(m):
-                return not any(map(_SubsetSim.hit, sims, m))
-
-    return functional_product(val, leaf_f, unary_f, binary_f, final_f, budget,
-                              "not" if mode == "not" else "combine")
+def _sim_steps(sim, dooms):
+    """Steps of a compiled operand read by its subset simulation `sim`.
+    An empty subset decides the operand false; when that dooms the whole
+    formula (`_step_machine`) the steps reject instead of reaching it."""
+    if dooms is False:
+        return (lambda sym: sim.leaf(sym) or None,
+                lambda m, sym: sim.unary(m, sym) or None,
+                lambda m1, m2, sym: sim.binary(m1, m2, sym) or None,
+                sim.hit)
+    return sim.leaf, sim.unary, sim.binary, sim.hit
 
 
 def _sticky_steps(bit, decides, dooms):
@@ -647,66 +589,16 @@ def _step_machine(phi):
     Step-shaped are the leaves: a pointwise formula (`_pointwise_pred`),
     inc, card, and exists e. inc(x1, e) and ... and inc(xk, e) for an FO
     edge variable e; exists w (psi and w = z), which is psi[w := z]; a
-    vacuous set binder over a step-shaped body; and any and, or, not,
-    implies and iff of step-shaped operands. The machine's state is the
-    tuple of its leaves' states (one leaf's state as is), and its final
-    test the boolean function of theirs. Steps read flags by variable,
-    so a leaf over a narrower scope reads the symbols of phi's scope
-    unchanged."""
+    vacuous set binder over a step-shaped body; a compiled operand, given
+    as its `_SubsetSim`; and any and, or, not, implies and iff of
+    step-shaped operands. The machine's state is the tuple of its leaves'
+    states (one leaf's state as is), and its final test the boolean
+    function of theirs. Steps read flags by variable, so a leaf over a
+    narrower scope reads the symbols of phi's scope unchanged; a
+    simulation over a narrower scope reads them through its erasure
+    map."""
     parts = []
-
-    def build(node, dooms):
-        """node's final test over the machine's state, with node's leaves
-        appended to parts; None if node is not step-shaped. dooms is the
-        value of node, if any (True, False or None), that makes phi false:
-        a sticky bit that decides node to it rejects instead of being set.
-        Card steps never reject."""
-        if isinstance(node, Not):
-            test = build(node.body, None if dooms is None else not dooms)
-            return None if test is None else (lambda m: not test(m))
-        if isinstance(node, Implies):
-            return build(Or(Not(node.left), node.right), dooms)
-        if isinstance(node, And):
-            for psi, eq in ((node.left, node.right), (node.right, node.left)):
-                if isinstance(eq, VarEq) and eq.left == eq.right:
-                    return build(psi, dooms)  # true; x stays in the scope
-        if isinstance(node, (And, Or, Iff)):
-            # an operand false decides an and, true an or, none an iff
-            decides = isinstance(node, Or) if not isinstance(node, Iff) else None
-            keep = dooms if dooms == decides else None
-            left = build(node.left, keep)
-            right = None if left is None else build(node.right, keep)
-            if right is None:
-                return None
-            if isinstance(node, And):
-                return lambda m: left(m) and right(m)
-            if isinstance(node, Or):
-                return lambda m: left(m) or right(m)
-            return lambda m: left(m) == right(m)
-        if isinstance(node, (Exists, Forall)):
-            if _vacuous_set_binder(node.var, free_vars(node.body)):
-                return build(node.body, dooms)
-            z = _eq_partner(node.var, node.body) if isinstance(node, Exists) else None
-            if z is not None:
-                return build(substitute(node.body, node.var, z), dooms)
-        pred = _pointwise_pred(node)
-        if pred is not None:  # the bit "pred failed" decides node false
-            steps = _sticky_steps(lambda sym: not pred(sym), False, dooms)
-        elif isinstance(node, Inc):
-            steps = _sticky_steps(_incidence_bit((node.vertex,), node.edge),
-                                  True, dooms)
-        elif isinstance(node, Card):
-            steps = _card_steps(node)
-        else:
-            xs = _incident_to(node.var, node.body) if isinstance(node, Exists) else None
-            if xs is None:
-                return None
-            steps = _sticky_steps(_incidence_bit(xs), True, dooms)
-        i, final_f = len(parts), steps[3]
-        parts.append(steps)
-        return lambda m: final_f(m[i])
-
-    test = build(phi, False)
+    test = _machine_test(phi, False, parts)
     if test is None:
         return None
     if len(parts) == 1:
@@ -727,6 +619,65 @@ def _step_machine(phi):
         return None if None in out else out
 
     return leaf_f, unary_f, binary_f, test
+
+
+def _machine_test(node, dooms, parts):
+    """node's final test over the state of a `_step_machine`, with
+    node's leaves appended to parts; None if node is not step-shaped.
+    dooms is the value of node, if any (True, False or None), that makes
+    the machine's formula false: a sticky bit that decides node to it
+    rejects instead of being set, and so does a simulation whose subset
+    empties. Card steps never reject."""
+    if isinstance(node, Not):
+        test = _machine_test(node.body, None if dooms is None else not dooms,
+                             parts)
+        return None if test is None else (lambda m: not test(m))
+    if isinstance(node, Implies):
+        return _machine_test(Or(Not(node.left), node.right), dooms, parts)
+    if isinstance(node, And):
+        for psi, eq in ((node.left, node.right), (node.right, node.left)):
+            if isinstance(eq, VarEq) and eq.left == eq.right:
+                # true; x stays in the scope
+                return _machine_test(psi, dooms, parts)
+    if isinstance(node, (And, Or, Iff)):
+        # an operand false decides an and, true an or, none an iff
+        decides = isinstance(node, Or) if not isinstance(node, Iff) else None
+        keep = dooms if dooms == decides else None
+        left = _machine_test(node.left, keep, parts)
+        right = (None if left is None
+                 else _machine_test(node.right, keep, parts))
+        if right is None:
+            return None
+        if isinstance(node, And):
+            return lambda m: left(m) and right(m)
+        if isinstance(node, Or):
+            return lambda m: left(m) or right(m)
+        return lambda m: left(m) == right(m)
+    if isinstance(node, (Exists, Forall)):
+        if _vacuous_set_binder(node.var, free_vars(node.body)):
+            return _machine_test(node.body, dooms, parts)
+        z = _eq_partner(node.var, node.body) if isinstance(node, Exists) else None
+        if z is not None:
+            return _machine_test(substitute(node.body, node.var, z), dooms,
+                                 parts)
+    pred = _pointwise_pred(node)
+    if isinstance(node, _SubsetSim):
+        steps = _sim_steps(node, dooms)
+    elif pred is not None:  # the bit "pred failed" decides node false
+        steps = _sticky_steps(lambda sym: not pred(sym), False, dooms)
+    elif isinstance(node, Inc):
+        steps = _sticky_steps(_incidence_bit((node.vertex,), node.edge),
+                              True, dooms)
+    elif isinstance(node, Card):
+        steps = _card_steps(node)
+    else:
+        xs = _incident_to(node.var, node.body) if isinstance(node, Exists) else None
+        if xs is None:
+            return None
+        steps = _sticky_steps(_incidence_bit(xs), True, dooms)
+    i, final_f = len(parts), steps[3]
+    parts.append(steps)
+    return lambda m: final_f(m[i])
 
 
 def _card_steps(phi):
@@ -780,23 +731,25 @@ class _Compiler:
     def shrink(self, aut):
         return reduce_bisim(trim(aut, self.budget), self.budget)
 
-    def combine(self, mode, xs, *operands):
-        """`subset_product` of validity(xs) with the operands, shrunk.
+    def sim(self, xs, aut, own_xs):
+        """The step-machine leaf of aut, compiled over own_xs, in a
+        product over xs: its subset simulation, lifted into xs by reading
+        each symbol through a flag erasure when own_xs is narrower."""
+        if own_xs != xs:
+            return _SubsetSim(aut, _erase_map(self.t, xs, own_xs))
+        if aut.alphabet != interpreted_alphabet(self.t, xs):
+            raise AlphabetMismatchError("operand and validity alphabets differ")
+        return _SubsetSim(aut)
 
-        Each operand is (automaton, its scope); one over a narrower scope
-        is lifted into xs by reading each symbol through a flag erasure.
-        """
-        sims = [_SubsetSim(aut, None if own_xs == xs
-                           else _erase_map(self.t, xs, own_xs))
-                for aut, own_xs in operands]
-        return self.shrink(subset_product(self.validity(xs), sims, mode,
-                                          self.budget))
-
-    def steps(self, xs, steps):
-        """`functional_product` of validity(xs) with the steps of a
-        step-shaped formula, shrunk."""
+    def combine(self, xs, psi, stage):
+        """`functional_product` of validity(xs) with the step machine of
+        psi, shrunk, charged to the budget stage `stage`; None if psi is
+        not step-shaped."""
+        steps = _step_machine(psi)
+        if steps is None:
+            return None
         return self.shrink(functional_product(
-            self.validity(xs), *steps, self.budget, "atom"))
+            self.validity(xs), *steps, self.budget, stage))
 
     def go(self, phi):
         cached = self.memo.get(phi)
@@ -809,11 +762,12 @@ class _Compiler:
     def dispatch(self, phi):
         """Automaton for phi over exactly its free variables.
 
-        A step-shaped phi (`_step_machine`) is one `functional_product` of
-        validity with its steps: a boolean combination of atoms and of
-        atom-like formulas runs as one machine, with no product per
-        connective and no subset construction. Every other boolean step
-        is a `combine`."""
+        Every boolean step is one `combine`. A step-shaped phi
+        (`_step_machine`) runs as one machine: a boolean combination of
+        atoms and of atom-like formulas, with no product per connective
+        and no subset construction. Otherwise the operands of a not, and
+        or or are compiled and shrunk first, and the machine runs their
+        subset simulations."""
         xs = _xtuple(free_vars(phi))
         if isinstance(phi, TrueF):
             return self.validity(xs)
@@ -821,17 +775,16 @@ class _Compiler:
             return TreeAutomaton(interpreted_alphabet(self.t, xs), (), (), ())
         if isinstance(phi, Not) and isinstance(phi.body, Not):
             return self.go(phi.body.body)
-        steps = _step_machine(phi)
-        if steps is not None:
-            return self.steps(xs, steps)
+        out = self.combine(xs, phi, "atom")
+        if out is not None:
+            return out
         if isinstance(phi, Not):
-            return self.combine("not", xs, (self.go(phi.body), xs))
+            return self.combine(xs, Not(self.sim(xs, self.go(phi.body), xs)),
+                                "not")
         if isinstance(phi, (And, Or)):
-            mode = "and" if isinstance(phi, And) else "or"
-            a = self.go(phi.left)
-            b = self.go(phi.right)
-            return self.combine(mode, xs, (a, _xtuple(free_vars(phi.left))),
-                                (b, _xtuple(free_vars(phi.right))))
+            a, b = (self.sim(xs, self.go(f), _xtuple(free_vars(f)))
+                    for f in (phi.left, phi.right))
+            return self.combine(xs, type(phi)(a, b), "combine")
         if isinstance(phi, Implies):
             return self.go(Or(Not(phi.left), phi.right))
         if isinstance(phi, Iff):
@@ -857,7 +810,7 @@ class _Compiler:
             inner = body.body if isinstance(body, Not) else Not(body)
             aut, cur_xs = self.project_vars(
                 binders, self.go(inner), _xtuple(free_vars(inner)))
-            return self.combine("not", xs, (aut, cur_xs))
+            return self.combine(xs, Not(self.sim(xs, aut, cur_xs)), "not")
         raise CmsoKindError(f"not a formula: {phi!r}")
 
     def exists(self, var, body):
@@ -880,7 +833,8 @@ class _Compiler:
         if body_xs != inner_xs:
             # vacuous first-order binder: lift so validity still demands
             # a vertex or an edge
-            aut = self.combine("and", inner_xs, (aut, body_xs))
+            aut = self.combine(inner_xs, self.sim(inner_xs, aut, body_xs),
+                               "combine")
         outer_xs = _xtuple(set(inner_xs) - set(binders))
         target = interpreted_alphabet(self.t, outer_xs)
         erase = _erase_map(self.t, inner_xs, outer_xs)
@@ -949,7 +903,7 @@ def compile_open(phi, t: int, xvars, budget=None) -> TreeAutomaton:
     own_xs = _xtuple(free_vars(phi))
     if own_xs == xs:
         return aut
-    return comp.combine("and", xs, (aut, own_xs))
+    return comp.combine(xs, comp.sim(xs, aut, own_xs), "combine")
 
 
 _COMPILE_CACHE = ChargedCache("compile")

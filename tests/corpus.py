@@ -10,9 +10,8 @@ import sys
 from itertools import combinations
 
 from supertw.cmso.ast import TrueF
-from supertw.graph import Graph, _edge_profile
+from supertw.graph import Graph, embeds_as_subgraph
 from supertw.tree_automata import TreeAutomaton
-from supertw.util import osorted
 
 
 def collections_inside(entry, call):
@@ -139,48 +138,12 @@ def tautology():
 
 
 def is_isomorphic(g: Graph, h: Graph):
-    """Exhaustive isomorphism test; returns a vertex bijection or None.
-
-    Multigraph-aware: a vertex bijection works iff endpoint-pair multiplicities
-    match (parallel edges are interchangeable). Intended for small graphs.
-    """
+    """A vertex bijection from g onto h that keeps the edge multiplicity
+    of every pair, or None. Graphs have no loops, so with equal vertex
+    and edge counts every embedding of g into h is one."""
     if len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
         return None
-    if sorted(g.degree(v) for v in g.vertices) != sorted(h.degree(v) for v in h.vertices):
-        return None
-    gprof = _edge_profile(g)
-    hprof = _edge_profile(h)
-    if gprof.get(None, 0) != hprof.get(None, 0):
-        return None
-
-    gs = osorted(g.vertices)
-    hs = list(h.vertices)
-
-    def extend(i, mapping, used):
-        if i == len(gs):
-            return dict(mapping)
-        v = gs[i]
-        for u in hs:
-            if u in used or h.degree(u) != g.degree(v):
-                continue
-            ok = True
-            for w, uw in mapping.items():
-                need = gprof.get(frozenset((v, w)), 0)
-                have = hprof.get(frozenset((u, uw)), 0)
-                if need != have:
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = u
-                used.add(u)
-                got = extend(i + 1, mapping, used)
-                if got is not None:
-                    return got
-                del mapping[v]
-                used.discard(u)
-        return None
-
-    return extend(0, {}, set())
+    return embeds_as_subgraph(g, h)
 
 
 def is_subgraph(h: Graph, g: Graph) -> bool:

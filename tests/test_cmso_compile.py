@@ -21,13 +21,14 @@ from supertw.cmso.ast import (And, Card, Exists, Forall, Iff, Implies, Inc,
                               MemE, MemV, Not, Or, Var, VarEq, VarKind,
                               free_vars)
 from supertw.cmso.compile import (_COMPILE_CACHE, _Compiler, _SubsetSim,
-                                  _erase_map, _step_machine, _xtuple,
+                                  _step_machine, _xtuple,
                                   compile as compile_formula, compile_open,
                                   functional_product, interpreted_alphabet,
-                                  subset_product, validity_automaton)
+                                  validity_automaton)
 from supertw.cmso.evaluate import eval_direct
 from supertw.cmso.generators import (even_order, gen_diam, gen_vertex_cover,
-                                     no_isolated_vertex, some_vertex)
+                                     no_isolated_vertex, simple_graph,
+                                     some_vertex)
 from supertw.cmso.parser import parse
 from supertw.decomp import bag_alphabet, decode_graph, s_maximal_components
 from supertw.errors import (AlphabetMismatchError, CmsoKindError,
@@ -402,7 +403,8 @@ def test_functional_product_matches_reference(name):
     other = reduce_bisim(trim(atom))
     sim = _SubsetSim(other)
     new, ref = Budget(None), Budget(None)
-    got = subset_product(val, [_SubsetSim(other)], "not", new)
+    got = functional_product(val, *_step_machine(Not(_SubsetSim(other))),
+                             new, "not")
     want = functional_product_reference(
         val, lambda sym: (sim.leaf(sym),),
         lambda m, sym: (sim.unary(m[0], sym),),
@@ -434,7 +436,8 @@ def test_subset_simulation_determinizes_and_complements(seed):
         assert sim.hit(got) == accepts(a, tm)
     everything = TreeAutomaton(AB, [0], [0], [(ch, sym, 0) for sym in AB
                                               for ch in ((), (0,), (0, 0))])
-    diff = subset_product(everything, [_SubsetSim(a)], "not", Budget())
+    diff = functional_product(everything, *_step_machine(Not(_SubsetSim(a))),
+                              Budget(), "not")
     assert language(diff) == set(TERMS3) - language(a)
 
 
@@ -459,12 +462,17 @@ def test_subset_product_alphabet_mismatch(mode):
     # through an erasure map is over the map's narrower scope
     x = Var("x", VarKind.VERTEX)
     es = Var("E", VarKind.EDGE_SET)
-    val = validity_automaton(2, (x, es))
+    xs = _xtuple((x, es))
+    val = validity_automaton(2, xs)
     narrow = validity_automaton(2, (x,))
+    comp = _Compiler(2, Budget())
     with pytest.raises(AlphabetMismatchError):
-        subset_product(val, [_SubsetSim(narrow)], mode, Budget())
-    erase = _erase_map(2, (x, es), (x,))
-    lifted = subset_product(val, [_SubsetSim(narrow, erase)], mode, Budget())
+        comp.sim(xs, narrow, xs)
+    sim = comp.sim(xs, narrow, (x,))
+    psi, stage = {"and": (And(sim, sim), "combine"),
+                  "or": (Or(sim, sim), "combine"),
+                  "not": (Not(sim), "not")}[mode]
+    lifted = comp.combine(xs, psi, stage)
     assert lifted.alphabet == val.alphabet
 
 
@@ -519,20 +527,24 @@ def test_product_meets_each_pair_once(name):
 
 def generic(phi, t, scope):
     """phi's automaton over scope with its top connective built by
-    `combine` and projection, as before step machines, and its charge:
-    not, and, or and iff (as the "or" of both "and"s) by `combine`, exists
-    by a projection, and a forall block by one projection per binder and
-    a "not". The operands are compiled as `compile_open` compiles them.
-    Builds from empty caches, so the charge is a cold one."""
+    `combine` over compiled operands and projection, as before step
+    machines, and its charge: not, and, or and iff (as the or of both
+    ands) over the operands' subset simulations, exists by a projection,
+    and a forall block by one projection per binder and a not. The
+    operands are compiled as `compile_open` compiles them. Builds from
+    empty caches, so the charge is a cold one."""
     clear_caches()
     comp = _Compiler(t, Budget(None))
+    own = _xtuple(free_vars(phi))
 
     def operand(f):
         return comp.go(f), _xtuple(free_vars(f))
 
-    own = _xtuple(free_vars(phi))
+    def sim(f):
+        return comp.sim(own, *operand(f))
+
     if isinstance(phi, Not):
-        aut = comp.combine("not", own, operand(phi.body))
+        aut = comp.combine(own, Not(sim(phi.body)), "not")
     elif isinstance(phi, Exists):
         aut, _ = comp.project_vars((phi.var,), *operand(phi.body))
     elif isinstance(phi, Forall):
@@ -543,24 +555,24 @@ def generic(phi, t, scope):
         aut, xs = operand(Not(body))
         for var in reversed(binders):
             aut, xs = comp.project_vars((var,), aut, xs)
-        aut = comp.combine("not", own, (aut, xs))
+        aut = comp.combine(own, Not(comp.sim(own, aut, xs)), "not")
     elif isinstance(phi, Iff):
         l, r = phi.left, phi.right
-        aut = comp.combine("or", own, operand(And(l, r)),
-                           operand(And(Not(l), Not(r))))
+        aut = comp.combine(own, Or(sim(And(l, r)), sim(And(Not(l), Not(r)))),
+                           "combine")
     else:
-        mode = "and" if isinstance(phi, And) else "or"
-        aut = comp.combine(mode, own, operand(phi.left), operand(phi.right))
+        aut = comp.combine(own, type(phi)(sim(phi.left), sim(phi.right)),
+                           "combine")
     if own != scope:
-        aut = comp.combine("and", scope, (aut, own))
+        aut = comp.combine(scope, comp.sim(scope, aut, own), "combine")
     return aut, comp.budget.used
 
 
 def same_language(a, b, val):
     """L(a) == L(b) for automata inside L(val): neither meets the other's
     complement relative to val."""
-    return not any(intersection_nonempty(
-        x, subset_product(val, [_SubsetSim(y)], "not", Budget(None)))
+    return not any(intersection_nonempty(x, functional_product(
+        val, *_step_machine(Not(_SubsetSim(y))), Budget(None), "not"))
         for x, y in ((a, b), (b, a)))
 
 
@@ -701,9 +713,50 @@ PINNED_COMPILE = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_COMPILE))
+# SHA-256 of the canonical JSON of compile(phi, 3) and its cold charge for
+# sentences whose not, and, or and lifts run over compiled operands'
+# subset simulations, as the three hand-written step sets of the former
+# subset product built them. x and z are vertex variables, y and f edge
+# variables; _FAR is "x and z share no edge".
+_VX, _VZ = Var("x", VarKind.VERTEX), Var("z", VarKind.VERTEX)
+_EY = Var("y", VarKind.EDGE)
+_FAR = Forall(_F, Not(And(Inc(_VX, _F), Inc(_VZ, _F))))
+PINNED_COMBINE = {
+    "and": (lambda: And(no_isolated_vertex(), even_order()),
+            "017d0420517e0132dba1ff074bce1383deecc32eb6f53ea95bc82562b7e603c4",
+            88273),
+    "or": (lambda: Or(no_isolated_vertex(), gen_diam(1)),
+           "cd51e50d6442f279e7f37fa9ce7dd54c3afc1bc1bea8d2ebf9d29f4e379fae2e",
+           212564),
+    "implies": (lambda: Implies(even_order(), no_isolated_vertex()),
+                "8ba719fbc3e7cc5dbab5e4b58cebf947b4971d2f1069b2b5658a42aa36738250",
+                139731),
+    "iff": (lambda: Iff(no_isolated_vertex(), even_order()),
+            "396cb7a9fff3cfb8a1bedfd83de7d4e2f430da5c14db17ed30a91b33e90ec58d",
+            248937),
+    "simple_graph": (
+        simple_graph,
+        "c1594f94fd5c1ab4e4778d341c3d7e621fe9b168cd921dfd2d5fa48c5aabf525",
+        321798),
+    # a vacuous first-order binder: the one-operand lift
+    "lift": (lambda: Exists(_VX, no_isolated_vertex()),
+             "c072af640d0c3eb389bb612695b9b81407d317d23908b9676f9327162a6a2774",
+             92866),
+    # an or, and an and, of an operand over {x} and one over {x, z}
+    "or_erased": (
+        lambda: Forall(_VX, Forall(_VZ, Or(Exists(_EY, Inc(_VX, _EY)), _FAR))),
+        "3a4085c31349fe527d58babe48d54ad95ec13734d918e88473784d261164aa6d",
+        518038),
+    "and_erased": (
+        lambda: Exists(_VX, Exists(_VZ, And(Exists(_EY, Inc(_VX, _EY)), _FAR))),
+        "912b2046b3a16a31e6e318e354271963cf7491d34062d75120f48e482a9c7400",
+        444683),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_COMPILE) + sorted(PINNED_COMBINE))
 def test_compiled_formula_pinned(name):
-    make, digest, charged = PINNED_COMPILE[name]
+    make, digest, charged = {**PINNED_COMPILE, **PINNED_COMBINE}[name]
     clear_caches()  # a real build, not a cache hit
     budget = Budget(None)
     text = json.dumps(to_json(compile_formula(make(), 3, budget)),

@@ -177,12 +177,12 @@ def test_paired_product_and_extraction_stay_small():
 # --- the final complement decodes only what trim keeps --------------------
 
 def test_final_complement_decodes_only_what_trim_keeps(monkeypatch):
-    complements, decoded = [], []
-    subset_product = compile_mod.subset_product
+    products, decoded = [], []
+    functional_product = compile_mod.functional_product
 
-    def recording(val, sims, mode, budget):
-        out = subset_product(val, sims, mode, budget)
-        complements.append((mode, out))
+    def recording(*args):
+        out = functional_product(*args)
+        products.append((args[-1], out))
         return out
 
     view = TreeAutomaton.transitions
@@ -192,15 +192,15 @@ def test_final_complement_decodes_only_what_trim_keeps(monkeypatch):
             decoded.append(aut.n_transitions)
         return view.fget(aut)
 
-    monkeypatch.setattr(compile_mod, "subset_product", recording)
+    monkeypatch.setattr(compile_mod, "functional_product", recording)
     monkeypatch.setattr(TreeAutomaton, "transitions", property(counting))
     solver.clear_caches()
     try:
         compile_formula(gen_diam(1), 3, Budget(None))
     finally:
         solver.clear_caches()
-    mode, last = complements[-1]
-    assert mode == "not"
+    stage, last = products[-1]
+    assert stage == "not"
     kept = trim(last)
     assert (last.n_transitions, kept.n_transitions) == (30_282, 1_978)
     assert last._trs is None
