@@ -12,9 +12,13 @@ it is odd. The instances are:
   its seconds, `charged` (Budget.used), `ru_maxrss_kb`, states,
   transitions and the SHA-256 of its canonical JSON dump;
 - `compile_diam2_t3_capped`: compile(gen_diam(2), 3) under
-  Budget(5 * 10**6), which stops it with a ResourceExceededError; its
-  seconds, `ru_maxrss_kb` at that point, and the error's stage and
-  count. `bytes_per_charged` is `ru_maxrss` over the cap.
+  Budget(5 * 10**6), with its seconds and `ru_maxrss_kb`. A run the cap
+  stops records the ResourceExceededError's stage and count and
+  `bytes_per_charged`, `ru_maxrss` over the cap. A run that finishes
+  records `charged`, states, transitions and the SHA-256 as above, and
+  checks the automaton against the evaluator on every term of depth at
+  most 2 over the 3-label bag alphabet: `terms`, how many satisfy
+  diam=2 (`true`) and the `mismatches`, which must be 0.
 
 The entry of each instance in `--out` is replaced; other keys are kept.
 """
@@ -37,31 +41,41 @@ import hashlib, json, resource, sys, time
 name, cap, mem_limit = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 resource.setrlimit(resource.RLIMIT_AS, (mem_limit, mem_limit))
 from supertw.cmso.compile import compile
+from supertw.cmso.evaluate import eval_direct
 from supertw.cmso.generators import gen_diam
+from supertw.decomp import bag_alphabet, decode_graph
 from supertw.errors import ResourceExceededError
-from supertw.tree_automata import to_json
+from supertw.terms import enumerate_terms
+from supertw.tree_automata import accepts, to_json
 from supertw.util import Budget
+d, t, budget = (1, 4, Budget(None)) if name == "compile_diam1_t4" else (2, 3, Budget(cap))
+phi = gen_diam(d)
 out = {}
 t0 = time.monotonic()
-if name == "compile_diam1_t4":
-    budget = Budget(None)
-    aut = compile(gen_diam(1), 4, budget)
-    out["seconds"] = round(time.monotonic() - t0, 2)
-    out["ru_maxrss_kb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    aut = compile(phi, t, budget)
+    out["error"] = None
+except ResourceExceededError as err:
+    aut = None
+    out["error"] = {"stage": err.stage, "count": err.count}
+out["seconds"] = round(time.monotonic() - t0, 2)
+out["ru_maxrss_kb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+if aut is None:
+    out["bytes_per_charged"] = round(out["ru_maxrss_kb"] * 1024 / cap, 1)
+else:
     out["charged"] = budget.used
     out["states"] = len(aut.states)
     out["transitions"] = aut.n_transitions
     text = json.dumps(to_json(aut), sort_keys=True)
     out["sha256"] = hashlib.sha256(text.encode()).hexdigest()
-else:
-    try:
-        compile(gen_diam(2), 3, Budget(cap))
-        out["error"] = None
-    except ResourceExceededError as err:
-        out["error"] = {"stage": err.stage, "count": err.count}
-    out["seconds"] = round(time.monotonic() - t0, 2)
-    out["ru_maxrss_kb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    out["bytes_per_charged"] = round(out["ru_maxrss_kb"] * 1024 / cap, 1)
+if aut is not None and d == 2:
+    terms = list(enumerate_terms(bag_alphabet(t), 2))
+    cache, truth, bad = {}, 0, 0
+    for tm in terms:
+        want = eval_direct(phi, decode_graph(tm))
+        truth += want
+        bad += accepts(aut, tm, cache) != want
+    out["terms"], out["true"], out["mismatches"] = len(terms), truth, bad
 print(json.dumps(out))
 """
 
@@ -70,8 +84,11 @@ WHAT = {
                         "process; seconds are wall time, charged is Budget.used, "
                         "sha256 that of its canonical JSON dump",
     "compile_diam2_t3_capped": f"compile(gen_diam(2), 3) under Budget({CAP}) in a "
-                               "fresh process, up to its ResourceExceededError; "
-                               "bytes_per_charged is ru_maxrss over the cap",
+                               "fresh process; a stopped run records its "
+                               "ResourceExceededError and bytes_per_charged, "
+                               "ru_maxrss over the cap; a finished one charged, "
+                               "states, transitions, sha256 and its mismatches "
+                               "with eval_direct on the terms of depth <= 2",
 }
 
 

@@ -27,21 +27,24 @@ make it pointwise over the outer scope (x in A, e in E, inc(x, e) bound
 at e), and compiled operands, read by subset simulation (`_SubsetSim`)
 and lifted into the scope through a flag-erasure map when theirs is
 narrower.  Its state is the tuple of the leaves' states, which never
-reject except where a sticky bit or an emptied subset dooms the whole
-formula, so negation flips a final test.  A step-shaped subformula, any
-boolean combination of the atom-like leaves, is one machine with no
-subset construction; any other not, and or or runs one over its
-operands, each compiled and shrunk first, and so does the lift of an
-operand into a scope with a variable it does not use.  Existential
-quantification is flag erasure (projection), one per quantifier block,
-and a final erasure to the plain bag alphabet yields the sentence
-automaton.
+reject except where a sticky bit, an emptied subset or a subset holding
+a sure state (one from which the operand accepts in every context)
+dooms the whole formula, so negation flips a final test, and the
+states a step rejects are all states trim would drop.  A step-shaped
+subformula, any boolean combination of the atom-like leaves, is one
+machine with no subset construction; any other not, and or or runs one
+over its operands, each compiled and shrunk first, and so does the
+lift of an operand into a scope with a variable it does not use.
+Existential quantification is flag erasure (projection), one per
+quantifier block, and a final erasure to the plain bag alphabet yields
+the sentence automaton.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import deque
+from functools import cached_property
 from itertools import combinations, product as iproduct
 
 from ..decomp import bag_alphabet
@@ -432,12 +435,19 @@ class _SubsetSim:
     which are its states when they are 0..n-1. `binary` interns each
     subset it computes in `subsets`, so its cache values and the product
     states built from them share one frozenset per distinct subset. The
-    table lives and dies with the simulation."""
+    table lives and dies with the simulation.
 
-    def __init__(self, other, erase=None):
+    `sure` holds operand states from which every context accepts, for
+    the steps of a complement (`_sim_steps`). It is computed on first
+    use, and each of its fixpoint rounds checks the deadline of `budget`
+    under the stage "not"."""
+
+    def __init__(self, other, erase=None, budget=None):
         alphabet = other.alphabet
+        self.alphabet = alphabet
         self.final = other.final_ids
         self.erase = erase
+        self.budget = budget
         leaf_by_sym = {}
         un = {}
         bn = {}
@@ -489,17 +499,145 @@ class _SubsetSim:
     def hit(self, s):
         return bool(s & self.final)
 
+    def sure_partners(self, s, sym):
+        """The states q2 such that `binary(s, s2, sym)` holds a sure state
+        exactly when s2 meets them: the test of that subset without
+        building it."""
+        d = self.bn.get(self.sym(sym))
+        sure = self.sure
+        out = set()
+        if d:
+            for q1 in s:
+                row = d.get(q1)
+                if row:
+                    out.update(q2 for q2, targets in row.items()
+                               if not sure.isdisjoint(targets))
+        return frozenset(out)
+
+    @cached_property
+    def sure(self):
+        """The final states p from which every context accepts: the
+        greatest set of final states in which, under every symbol, p's
+        unary step and its binary steps with each state n of the cover,
+        on either side, each reach a state of the set.
+
+        Why a subset S that holds a sure state p is hit in every context:
+        every subset the simulation reaches meets the cover (`_cover`),
+        so at each step up the context the sibling subset holds some n,
+        and the step of p with n reaches a sure state again. At the root
+        the subset still holds one, and sure states are final. Empty when
+        there is no cover."""
+        budget = self.budget or Budget()
+        unaries = [self.un.get(sym, {}) for sym in self.alphabet]
+        binaries = [self.bn.get(sym, {}) for sym in self.alphabet]
+        cover = self._cover(unaries, binaries, budget)
+        if not cover:
+            return frozenset()
+
+        def stays(p):
+            for un, bn in zip(unaries, binaries):
+                if sure.isdisjoint(un.get(p, ())):
+                    return False
+                row = bn.get(p, {})
+                for n in cover:
+                    if (sure.isdisjoint(row.get(n, ()))
+                            or sure.isdisjoint(bn.get(n, {}).get(p, ()))):
+                        return False
+            return True
+
+        sure = set(self.final)
+        while True:
+            budget.check_time("not")
+            drop = [p for p in sure if not stays(p)]
+            if not drop:
+                return frozenset(sure)
+            sure.difference_update(drop)
+
+    def _cover(self, unaries, binaries, budget):
+        """A set N of states that every leaf step over the operand's
+        alphabet meets and that every unary and binary step out of N meets
+        again, so every subset the simulation reaches meets N; None if
+        this construction finds none. unaries and binaries hold the
+        operand's rules per symbol of its alphabet. N starts from the
+        least leaf target per symbol and gains the least target of each
+        step out of N that misses it, always among the states with a
+        unary rule under every symbol; a round that adds nothing has
+        checked the closure."""
+        able = set.intersection(*(set(d) for d in unaries)) if unaries else set()
+        cover = set()
+
+        def pick(targets):
+            return min((q for q in targets if q in able), default=None)
+
+        for sym in self.alphabet:
+            targets = self.leaf_by_sym.get(sym, ())
+            if cover.isdisjoint(targets):
+                q = pick(targets)
+                if q is None:
+                    return None
+                cover.add(q)
+        while True:
+            budget.check_time("not")
+            found = set()
+            order = sorted(cover)
+            for n in order:
+                steps = [d[n] for d in unaries]
+                for bn in binaries:
+                    row = bn.get(n, {})
+                    steps.extend(row.get(n2, ()) for n2 in order)
+                for targets in steps:
+                    if cover.isdisjoint(targets):
+                        q = pick(targets)
+                        if q is None:
+                            return None
+                        found.add(q)
+            if not found:
+                return cover
+            cover |= found
+
 
 def _sim_steps(sim, dooms):
     """Steps of a compiled operand read by its subset simulation `sim`.
     An empty subset decides the operand false; when that dooms the whole
-    formula (`_step_machine`) the steps reject instead of reaching it."""
+    formula (`_step_machine`) the steps reject instead of reaching it.
+    A subset that holds a sure state (`_SubsetSim.sure`) decides it true
+    in every context; when that dooms the formula, as under a not, the
+    steps reject it too, a binary step by `sure_partners` before the
+    subset is built.
+
+    Either way a rejected state can reach no final product state, and
+    every step out of it would be rejected too (an emptied subset stays
+    empty, one that holds a sure state holds one after each step), so
+    no surviving state is found through it. The survivors are found, and
+    their transitions emitted, in the order they were without rejection,
+    and `trim` gives the same automaton byte for byte."""
     if dooms is False:
         return (lambda sym: sim.leaf(sym) or None,
                 lambda m, sym: sim.unary(m, sym) or None,
                 lambda m1, m2, sym: sim.binary(m1, m2, sym) or None,
                 sim.hit)
-    return sim.leaf, sim.unary, sim.binary, sim.hit
+    sure = sim.sure if dooms is True else None
+    if not sure:
+        return sim.leaf, sim.unary, sim.binary, sim.hit
+
+    def leaf_f(sym):
+        s = sim.leaf(sym)
+        return s if sure.isdisjoint(s) else None
+
+    def unary_f(m, sym):
+        s = sim.unary(m, sym)
+        return s if sure.isdisjoint(s) else None
+
+    partners = {}  # (m1, sym) -> sim.sure_partners(m1, sym)
+
+    def binary_f(m1, m2, sym):
+        key = (m1, sym)
+        doomed = partners.get(key)
+        if doomed is None:
+            doomed = partners[key] = sim.sure_partners(m1, sym)
+        return None if not doomed.isdisjoint(m2) else sim.binary(m1, m2, sym)
+
+    return leaf_f, unary_f, binary_f, sim.hit
 
 
 def _sticky_steps(bit, decides, dooms):
@@ -627,7 +765,8 @@ def _machine_test(node, dooms, parts):
     dooms is the value of node, if any (True, False or None), that makes
     the machine's formula false: a sticky bit that decides node to it
     rejects instead of being set, and so does a simulation whose subset
-    empties. Card steps never reject."""
+    empties (False) or holds a sure state (True, `_SubsetSim.sure`).
+    Card steps never reject."""
     if isinstance(node, Not):
         test = _machine_test(node.body, None if dooms is None else not dooms,
                              parts)
@@ -736,10 +875,10 @@ class _Compiler:
         product over xs: its subset simulation, lifted into xs by reading
         each symbol through a flag erasure when own_xs is narrower."""
         if own_xs != xs:
-            return _SubsetSim(aut, _erase_map(self.t, xs, own_xs))
+            return _SubsetSim(aut, _erase_map(self.t, xs, own_xs), self.budget)
         if aut.alphabet != interpreted_alphabet(self.t, xs):
             raise AlphabetMismatchError("operand and validity alphabets differ")
-        return _SubsetSim(aut)
+        return _SubsetSim(aut, budget=self.budget)
 
     def combine(self, xs, psi, stage):
         """`functional_product` of validity(xs) with the step machine of

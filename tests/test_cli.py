@@ -164,7 +164,9 @@ def test_solve_edge_list_input(tmp_path):
 
 
 def test_out_of_memory_is_an_error_not_no(tmp_path):
-    # an uncaught MemoryError would exit 1, the code for NO
+    # an uncaught MemoryError would exit 1, the code for NO. diam=2 at
+    # treewidth 2 now solves within the cap, so the solve asks for
+    # treewidth 3, whose compile runs out of memory within seconds
     p = tmp_path / "p3.txt"
     p.write_text("0 1\n1 2\n")
     limit = 150 * 1024 ** 2
@@ -174,7 +176,7 @@ def test_out_of_memory_is_an_error_not_no(tmp_path):
 
     res = subprocess.run(
         [sys.executable, "-m", "supertw.cli", "solve", "--graph", str(p),
-         "--preset", "diam=2", "--treewidth", "2"],
+         "--preset", "diam=2", "--treewidth", "3"],
         capture_output=True, text=True, preexec_fn=cap_address_space,
         env=dict(os.environ, PYTHONHASHSEED="0"))
     assert res.returncode == 2, res.stderr

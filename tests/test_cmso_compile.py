@@ -39,7 +39,7 @@ from supertw.tree_automata import (TreeAutomaton, accepts, intersect,
                                    intersection_nonempty,
                                    reduce_bisim, run, to_json, trim)
 from supertw.util import Budget
-from corpus import collections_inside, tautology
+from corpus import collections_inside, make_automaton, tautology
 from test_tree_automata import (AB, TERMS3, intersect_reference, language,
                                 random_automaton)
 
@@ -456,6 +456,140 @@ def test_subset_simulation_shares_equal_subsets():
     assert len(sim.bcache) == 2 and len(sim.subsets) == 1
 
 
+# --- a complement rejects the subsets that hold a sure state -------------
+
+def complement_both_ways(base, operand):
+    """The not of operand over base, pruned as the step machine runs it
+    and unpruned from the simulation's raw steps, with their charges."""
+    pruned, raw = Budget(None), Budget(None)
+    got = functional_product(base, *_step_machine(Not(_SubsetSim(operand))),
+                             pruned, "not")
+    sim = _SubsetSim(operand)
+    want = functional_product(base, sim.leaf, sim.unary, sim.binary,
+                              lambda m: not sim.hit(m), raw, "not")
+    return got, pruned.used, want, raw.used
+
+
+def sure_operand(seed):
+    """A random automaton over AB whose steps out of a final state mostly
+    stay among the final states, binary ones more often than unary ones. Each leaf symbol and step has one or two
+    random targets; on odd seeds a few have none. Where seed % 4 < 2,
+    state 4 is final, no leaf reaches it, and every unary step out of it
+    and binary step beside it stays there."""
+    rng = random.Random(seed)
+    states = range(5)
+    sink = 4 if seed % 4 < 2 else None
+    final = set(rng.sample(states, rng.randint(1, 3))) | {sink} - {None}
+    trs = set()
+
+    def targets(children):
+        if sink in children:
+            return [sink]
+        if seed % 2 and rng.random() < 0.05:
+            return []
+        stay = 0.85 if len(children) == 2 else 0.6
+        among = (sorted(final) if final & set(children) and rng.random() < stay
+                 else [q for q in states if children or q != sink])
+        return rng.sample(among, min(len(among), rng.randint(1, 2)))
+
+    for sym in AB:
+        trs.update(((), sym, q) for q in targets(()))
+        for c in states:
+            trs.update(((c,), sym, q) for q in targets((c,)))
+            for c2 in states:
+                trs.update(((c, c2), sym, q) for q in targets((c, c2)))
+    return make_automaton(AB, final, sorted(trs, key=repr), states)
+
+
+def test_complement_pruning_keeps_what_trim_keeps():
+    # on random operands, against an automaton that accepts everything and
+    # a random one, the pruned and the unpruned not trim to the same dump,
+    # and the pruned one charges no more; some of them prune
+    everything = TreeAutomaton(AB, [0], [0], [(ch, sym, 0) for sym in AB
+                                              for ch in ((), (0,), (0, 0))])
+    pruned_any = False
+    for seed in range(40):
+        operand = sure_operand(seed)
+        for base in (everything, random_automaton(seed, p_final=0.7)):
+            got, used, want, raw = complement_both_ways(base, operand)
+            assert to_json(trim(got)) == to_json(trim(want)), seed
+            assert used <= raw
+            pruned_any |= used < raw
+    assert pruned_any
+
+
+def final_operand(phi, t, monkeypatch):
+    """The operand of the last simulation compile(phi, t) makes, with its
+    scope; compile_open(phi, t, ()) over () where it makes none."""
+    made = []
+    sim = _Compiler.sim
+
+    def recording(self, xs, aut, own_xs):
+        made.append((aut, own_xs))
+        return sim(self, xs, aut, own_xs)
+
+    clear_caches()
+    with monkeypatch.context() as patch:
+        patch.setattr(_Compiler, "sim", recording)
+        aut = compile_open(phi, t, (), Budget(None))
+    return made[-1] if made else (aut, ())
+
+
+@pytest.mark.parametrize("name", ["diam1", "even_order", "no_isolated_vertex",
+                                  "vc1"])
+def test_complement_pruning_on_benchmark_operands(name, monkeypatch):
+    # the operand of each benchmark sentence's final not (of the sentence
+    # itself where it has none), complemented over validity of its scope
+    operand, xs = final_operand(PINNED_COMPILE[name][0](), 3, monkeypatch)
+    got, used, want, raw = complement_both_ways(validity_automaton(3, xs),
+                                                operand)
+    assert to_json(trim(got)) == to_json(trim(want))
+    assert used <= raw
+    if name == "diam1":
+        # one operand state accepts in every context, and the pruned
+        # product is exactly what trim keeps
+        assert len(_SubsetSim(operand).sure) == 1
+        assert got.n_transitions == trim(got).n_transitions < raw
+
+
+def test_complement_without_cover_prunes_nothing():
+    # state 0 accepts in every context that has a leaf, but "b" has no
+    # leaf rule: its empty subset meets no cover, so nothing is sure and
+    # the pruned product is the unpruned one, byte for byte
+    steps = [(ch, sym, 0) for sym in AB for ch in ((0,), (0, 0))]
+    operand = make_automaton(AB, [0], [((), "a", 0)] + steps)
+    assert _SubsetSim(operand).sure == frozenset()
+    everything = TreeAutomaton(AB, [0], [0], [(ch, sym, 0) for sym in AB
+                                              for ch in ((), (0,), (0, 0))])
+    got, used, want, raw = complement_both_ways(everything, operand)
+    assert to_json(got) == to_json(want) and used == raw
+    # with a leaf under "b" too, state 0 is sure
+    complete = make_automaton(AB, [0], [((), "b", 0), ((), "a", 0)] + steps)
+    assert _SubsetSim(complete).sure == frozenset({0})
+
+
+def test_sure_set_checks_the_deadline():
+    # a deadline that passes in the cover or sure-set rounds raises, under
+    # the stage "not", both for a bare simulation and inside a compile
+    operand = sure_operand(0)
+    sim = _SubsetSim(operand, budget=Budget(None, timeout_secs=-1))
+    _step_machine(sim)  # an operand that dooms when false needs no sure set
+    with pytest.raises(ResourceExceededError) as err:
+        _step_machine(Not(sim))
+    assert err.value.stage == "not"
+
+    class Expiring(Budget):
+        def check_time(self, stage):
+            if stage == "not":
+                self.deadline = 0.0
+            super().check_time(stage)
+
+    clear_caches()
+    with pytest.raises(ResourceExceededError) as err:
+        compile_formula(gen_diam(1), 3, Expiring(None))
+    assert err.value.stage == "not"
+
+
 @pytest.mark.parametrize("mode", ["and", "or", "not"])
 def test_subset_product_alphabet_mismatch(mode):
     # an operand read as is must be over validity's alphabet; one read
@@ -694,12 +828,13 @@ def test_forall_block_projects_once():
 # charge of that compile, with each boolean combination of atoms one step
 # machine and forall x. x in A and forall e. inc(x, e) pointwise: a scope
 # with the edge variable of `adjacent`, a product per connective or a
-# subset construction over an atom raises it
+# subset construction over an atom raises it, and with a complement that
+# rejects the subsets holding a sure state (`_SubsetSim.sure`)
 FORMULA_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "formulas"
 PINNED_COMPILE = {
     "diam1": (lambda: gen_diam(1),
               "2015c9057c01fcb69b8c174a0384948681f8f8f93fb486b17eaf9439d7817d06",
-              101758),
+              73454),
     "vc1": (lambda: gen_vertex_cover(1),
             "365916bb06b270062c6cf276e00dbb98e446ca666372cbd43289741695f0e22a",
             10157),
@@ -709,39 +844,40 @@ PINNED_COMPILE = {
     "no_isolated_vertex": (
         lambda: parse((FORMULA_DIR / "no_isolated_vertex.cmso").read_text()),
         "6f20800f982a54d8ccaf8c48521ada749abfde9fb3adc3c1a7ad9c4e9285adac",
-        53574),
+        17610),
 }
 
 
 # SHA-256 of the canonical JSON of compile(phi, 3) and its cold charge for
 # sentences whose not, and, or and lifts run over compiled operands'
 # subset simulations, as the three hand-written step sets of the former
-# subset product built them. x and z are vertex variables, y and f edge
-# variables; _FAR is "x and z share no edge".
+# subset product built them; the charges are those of complements that
+# reject the subsets holding a sure state. x and z are vertex variables,
+# y and f edge variables; _FAR is "x and z share no edge".
 _VX, _VZ = Var("x", VarKind.VERTEX), Var("z", VarKind.VERTEX)
 _EY = Var("y", VarKind.EDGE)
 _FAR = Forall(_F, Not(And(Inc(_VX, _F), Inc(_VZ, _F))))
 PINNED_COMBINE = {
     "and": (lambda: And(no_isolated_vertex(), even_order()),
             "017d0420517e0132dba1ff074bce1383deecc32eb6f53ea95bc82562b7e603c4",
-            88273),
+            52309),
     "or": (lambda: Or(no_isolated_vertex(), gen_diam(1)),
            "cd51e50d6442f279e7f37fa9ce7dd54c3afc1bc1bea8d2ebf9d29f4e379fae2e",
-           212564),
+           148296),
     "implies": (lambda: Implies(even_order(), no_isolated_vertex()),
                 "8ba719fbc3e7cc5dbab5e4b58cebf947b4971d2f1069b2b5658a42aa36738250",
-                139731),
+                103767),
     "iff": (lambda: Iff(no_isolated_vertex(), even_order()),
             "396cb7a9fff3cfb8a1bedfd83de7d4e2f430da5c14db17ed30a91b33e90ec58d",
-            248937),
+            212973),
     "simple_graph": (
         simple_graph,
         "c1594f94fd5c1ab4e4778d341c3d7e621fe9b168cd921dfd2d5fa48c5aabf525",
-        321798),
+        306788),
     # a vacuous first-order binder: the one-operand lift
     "lift": (lambda: Exists(_VX, no_isolated_vertex()),
              "c072af640d0c3eb389bb612695b9b81407d317d23908b9676f9327162a6a2774",
-             92866),
+             56902),
     # an or, and an and, of an operand over {x} and one over {x, z}
     "or_erased": (
         lambda: Forall(_VX, Forall(_VZ, Or(Exists(_EY, Inc(_VX, _EY)), _FAR))),
@@ -883,10 +1019,10 @@ PINNED_LIFT = {
         12856),
     VACUOUS[1]: (
         "6f20800f982a54d8ccaf8c48521ada749abfde9fb3adc3c1a7ad9c4e9285adac",
-        53574),
+        17610),
     "forall vs A. forall v x. exists e y. inc(x, y)": (
         "6f20800f982a54d8ccaf8c48521ada749abfde9fb3adc3c1a7ad9c4e9285adac",
-        53574),
+        17610),
 }
 
 
