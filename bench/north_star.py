@@ -13,14 +13,15 @@ it is odd. The instances are:
   transitions and the SHA-256 of its canonical JSON dump;
 - `compile_diam2_t3_capped`: compile(gen_diam(2), 3) under
   Budget(5 * 10**6), with its seconds and `ru_maxrss_kb`. A run the cap
-  stops records the ResourceExceededError's stage and count and
-  `bytes_per_charged`, `ru_maxrss` over the cap. A run that finishes
-  records `charged`, states, transitions and the SHA-256 as above, and
-  checks the automaton against the evaluator on every term of depth at
-  most 2 over the 3-label bag alphabet: `terms`, how many satisfy
-  diam=2 (`true`) and the `mismatches`, which must be 0.
+  stops records `bytes_per_charged`, `ru_maxrss` over the cap. A run
+  that finishes records `charged`, states, transitions and the SHA-256
+  as above, and checks the automaton against the evaluator on every
+  term of depth at most 2 over the 3-label bag alphabet: `terms`, how
+  many satisfy diam=2 (`true`) and the `mismatches`, which must be 0.
 
-The entry of each instance in `--out` is replaced; other keys are kept.
+Every run records `error`: null, or the ResourceExceededError's stage
+and count. The entry of each instance in `--out` is replaced; other
+keys are kept.
 """
 
 from __future__ import annotations

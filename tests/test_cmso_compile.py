@@ -470,12 +470,19 @@ def complement_both_ways(base, operand):
     return got, pruned.used, want, raw.used
 
 
+def accept_all():
+    """The one-state automaton over AB that accepts every term."""
+    return TreeAutomaton(AB, [0], [0], [(ch, sym, 0) for sym in AB
+                                        for ch in ((), (0,), (0, 0))])
+
+
 def sure_operand(seed):
     """A random automaton over AB whose steps out of a final state mostly
-    stay among the final states, binary ones more often than unary ones. Each leaf symbol and step has one or two
-    random targets; on odd seeds a few have none. Where seed % 4 < 2,
-    state 4 is final, no leaf reaches it, and every unary step out of it
-    and binary step beside it stays there."""
+    stay among the final states, binary ones more often than unary ones.
+    Each leaf symbol and step has one or two random targets; on odd seeds
+    a few have none. Where seed % 4 < 2, state 4 is final, no leaf
+    reaches it, and every unary step out of it and binary step beside it
+    stays there."""
     rng = random.Random(seed)
     states = range(5)
     sink = 4 if seed % 4 < 2 else None
@@ -505,12 +512,10 @@ def test_complement_pruning_keeps_what_trim_keeps():
     # on random operands, against an automaton that accepts everything and
     # a random one, the pruned and the unpruned not trim to the same dump,
     # and the pruned one charges no more; some of them prune
-    everything = TreeAutomaton(AB, [0], [0], [(ch, sym, 0) for sym in AB
-                                              for ch in ((), (0,), (0, 0))])
     pruned_any = False
     for seed in range(40):
         operand = sure_operand(seed)
-        for base in (everything, random_automaton(seed, p_final=0.7)):
+        for base in (accept_all(), random_automaton(seed, p_final=0.7)):
             got, used, want, raw = complement_both_ways(base, operand)
             assert to_json(trim(got)) == to_json(trim(want)), seed
             assert used <= raw
@@ -559,9 +564,7 @@ def test_complement_without_cover_prunes_nothing():
     steps = [(ch, sym, 0) for sym in AB for ch in ((0,), (0, 0))]
     operand = make_automaton(AB, [0], [((), "a", 0)] + steps)
     assert _SubsetSim(operand).sure == frozenset()
-    everything = TreeAutomaton(AB, [0], [0], [(ch, sym, 0) for sym in AB
-                                              for ch in ((), (0,), (0, 0))])
-    got, used, want, raw = complement_both_ways(everything, operand)
+    got, used, want, raw = complement_both_ways(accept_all(), operand)
     assert to_json(got) == to_json(want) and used == raw
     # with a leaf under "b" too, state 0 is sure
     complete = make_automaton(AB, [0], [((), "b", 0), ((), "a", 0)] + steps)
