@@ -32,12 +32,13 @@ a sure state (one from which the operand accepts in every context)
 dooms the whole formula, so negation flips a final test, and the
 states a step rejects are all states trim would drop.  A step-shaped
 subformula, any boolean combination of the atom-like leaves, is one
-machine with no subset construction; any other not, and or or runs one
-over its operands, each compiled and shrunk first, and so does the
-lift of an operand into a scope with a variable it does not use.
-Existential quantification is flag erasure (projection), one per
-quantifier block, and a final erasure to the plain bag alphabet yields
-the sentence automaton.
+machine with no subset construction; any other connective (not, and,
+or, implies, iff) runs one over its operands, each compiled and shrunk
+first, and so does the lift of an operand into a scope with a variable
+it does not use. Quantification is flag erasure (projection), one per
+block of exists or forall binders (a forall block between two
+complements), and a final erasure to the plain bag alphabet yields the
+sentence automaton.
 """
 
 from __future__ import annotations
@@ -901,12 +902,13 @@ class _Compiler:
     def dispatch(self, phi):
         """Automaton for phi over exactly its free variables.
 
-        Every boolean step is one `combine`. A step-shaped phi
-        (`_step_machine`) runs as one machine: a boolean combination of
-        atoms and of atom-like formulas, with no product per connective
-        and no subset construction. Otherwise the operands of a not, and
-        or or are compiled and shrunk first, and the machine runs their
-        subset simulations."""
+        Every boolean step is one `combine`: of phi when it is step-shaped
+        (`_step_machine`), else of its operands, each compiled and shrunk
+        first. A quantifier block, the binders of one kind above any
+        exists e. inc(x1, e) and ... and inc(xk, e), is one projection,
+        less its vacuous set binders and the exists binders it substitutes
+        by an equality partner. A forall block projects the complement of
+        its body and complements once: forall X psi = not exists X not psi."""
         xs = _xtuple(free_vars(phi))
         if isinstance(phi, TrueF):
             return self.validity(xs)
@@ -917,53 +919,39 @@ class _Compiler:
         out = self.combine(xs, phi, "atom")
         if out is not None:
             return out
-        if isinstance(phi, Not):
-            return self.combine(xs, Not(self.sim(xs, self.go(phi.body), xs)),
-                                "not")
-        if isinstance(phi, (And, Or)):
-            a, b = (self.sim(xs, self.go(f), _xtuple(free_vars(f)))
-                    for f in (phi.left, phi.right))
-            return self.combine(xs, type(phi)(a, b), "combine")
-        if isinstance(phi, Implies):
-            return self.go(Or(Not(phi.left), phi.right))
-        if isinstance(phi, Iff):
-            l, r = phi.left, phi.right
-            return self.go(Or(And(l, r), And(Not(l), Not(r))))
-        if isinstance(phi, Exists):
-            return self.exists(phi.var, phi.body)
-        if isinstance(phi, Forall):
-            # collapse the maximal forall block to one complement:
-            # forall x1..xk psi  =  not exists x1..xk not psi.  Projections
-            # are cheap; complementing once at the block's outer scope keeps
-            # the subset construction on the smallest possible alphabet.
-            binders = []
-            body = phi
-            while isinstance(body, Forall):
-                binders.append(body.var)
-                body = body.body
-            scope = free_vars(body)
-            binders = [var for var in binders
-                       if not _vacuous_set_binder(var, scope)]
-            if not binders:
-                return self.go(body)
-            inner = body.body if isinstance(body, Not) else Not(body)
-            aut, cur_xs = self.project_vars(
-                binders, self.go(inner), _xtuple(free_vars(inner)))
-            return self.combine(xs, Not(self.sim(xs, aut, cur_xs)), "not")
-        raise CmsoKindError(f"not a formula: {phi!r}")
-
-    def exists(self, var, body):
-        """Automaton for (exists var. body) over free(body) minus var."""
-        scope = free_vars(body)
-        if _vacuous_set_binder(var, scope):
+        if isinstance(phi, (Not, And, Or, Implies, Iff)):
+            operands = ((phi.body,) if isinstance(phi, Not)
+                        else (phi.left, phi.right))
+            sims = [self.sim(xs, self.go(f), _xtuple(free_vars(f)))
+                    for f in operands]
+            return self.combine(xs, type(phi)(*sims),
+                                "not" if isinstance(phi, Not) else "combine")
+        if not isinstance(phi, (Exists, Forall)):
+            raise CmsoKindError(f"not a formula: {phi!r}")
+        binders, body = [], phi
+        while type(body) is type(phi) and (
+                isinstance(body, Forall)
+                or _incident_to(body.var, body.body) is None):
+            binders.append(body.var)
+            body = body.body
+        kept = []
+        for var in reversed(binders):  # so exists x z (x = z and psi) keeps x
+            z = _eq_partner(var, body) if isinstance(phi, Exists) else None
+            if z is not None:
+                # exists w (psi /\ w = z)  ==  psi[w := z]; one variable
+                # less in every scope below
+                body = substitute(body, var, z)
+            elif not _vacuous_set_binder(var, free_vars(body)):
+                kept.append(var)
+        if not kept:
             return self.go(body)
-        z = _eq_partner(var, body)
-        if z is not None:
-            # exists w (psi /\ w = z)  ==  psi[w := z]; one variable less
-            # in every scope below makes the alphabets drastically smaller
-            return self.go(substitute(body, var, z))
-        aut, _ = self.project_vars((var,), self.go(body), _xtuple(scope))
-        return aut
+        if isinstance(phi, Forall):
+            body = body.body if isinstance(body, Not) else Not(body)
+        aut, cur_xs = self.project_vars(kept, self.go(body),
+                                        _xtuple(free_vars(body)))
+        if isinstance(phi, Exists):
+            return aut
+        return self.combine(xs, Not(self.sim(xs, aut, cur_xs)), "not")
 
     def project_vars(self, binders, aut, body_xs):
         """Erase the binders' flags with one projection and one shrink;

@@ -54,8 +54,9 @@ from .tree_automata import (TreeAutomaton, accepts, extract_witness,
 from .util import (Budget, ChargedCache, clear_registered_caches, gc_paused,
                    osorted)
 
-# compile(gen_diam(1), 4) alone processes a few 10^7 transitions, so the
-# solver's default meter is roomier than the library-wide Budget default
+# compile(gen_diam(1), 4) charges 1 169 002 transitions and a P4 diam=1
+# witness solve at t=3 charges 3 779 159; the solver's default meter is
+# roomier than the library-wide Budget default, for larger instances
 DEFAULT_MAX_TRANSITIONS = 10 ** 8
 
 EVAL_RECHECK_VERTICES = 8

@@ -852,14 +852,18 @@ PINNED_COMPILE = {
 
 
 # SHA-256 of the canonical JSON of compile(phi, 3) and its cold charge for
-# sentences whose not, and, or and lifts run over compiled operands'
-# subset simulations, as the three hand-written step sets of the former
-# subset product built them; the charges are those of complements that
-# reject the subsets holding a sure state. x and z are vertex variables,
-# y and f edge variables; _FAR is "x and z share no edge".
+# sentences whose connectives, quantifier blocks and lifts run over
+# compiled operands' subset simulations, as the three hand-written step
+# sets of the former subset product built them; the charges are those of
+# complements that reject the subsets holding a sure state, of one
+# combine per implies or iff (no rewrite into or, and and not) and of one
+# projection per exists block. x and z are vertex variables, y and f edge
+# variables; _FAR is "x and z share no edge".
 _VX, _VZ = Var("x", VarKind.VERTEX), Var("z", VarKind.VERTEX)
 _EY = Var("y", VarKind.EDGE)
 _FAR = Forall(_F, Not(And(Inc(_VX, _F), Inc(_VZ, _F))))
+EXISTS_BLOCK = Exists(_VX, Exists(_VZ, Exists(_EY, And(
+    Inc(_VX, _EY), Not(Inc(_VZ, _EY))))))
 PINNED_COMBINE = {
     "and": (lambda: And(no_isolated_vertex(), even_order()),
             "017d0420517e0132dba1ff074bce1383deecc32eb6f53ea95bc82562b7e603c4",
@@ -869,14 +873,14 @@ PINNED_COMBINE = {
            148296),
     "implies": (lambda: Implies(even_order(), no_isolated_vertex()),
                 "8ba719fbc3e7cc5dbab5e4b58cebf947b4971d2f1069b2b5658a42aa36738250",
-                103767),
+                99945),
     "iff": (lambda: Iff(no_isolated_vertex(), even_order()),
             "396cb7a9fff3cfb8a1bedfd83de7d4e2f430da5c14db17ed30a91b33e90ec58d",
-            212973),
+            99945),
     "simple_graph": (
         simple_graph,
         "c1594f94fd5c1ab4e4778d341c3d7e621fe9b168cd921dfd2d5fa48c5aabf525",
-        306788),
+        285636),
     # a vacuous first-order binder: the one-operand lift
     "lift": (lambda: Exists(_VX, no_isolated_vertex()),
              "c072af640d0c3eb389bb612695b9b81407d317d23908b9676f9327162a6a2774",
@@ -890,6 +894,24 @@ PINNED_COMBINE = {
         lambda: Exists(_VX, Exists(_VZ, And(Exists(_EY, Inc(_VX, _EY)), _FAR))),
         "912b2046b3a16a31e6e318e354271963cf7491d34062d75120f48e482a9c7400",
         444683),
+    # an implies of an operand over {x} and one over {x, z}
+    "implies_erased": (
+        lambda: Forall(_VX, Forall(_VZ, Implies(Exists(_EY, Inc(_VX, _EY)),
+                                                _FAR))),
+        "eaca2828783c0c94c1af0be95bb8ff28be73687e82a767822081760b4924bcf8",
+        533250),
+    # an exists block of three binders
+    "exists_block": (
+        lambda: EXISTS_BLOCK,
+        "17e00c0f1835f4d47cd44a77d4a3dc57f7b4a201c942ddc1827a1e328da85ae4",
+        256666),
+    # an exists block with a vacuous set binder and a binder with an
+    # equality partner, under a forall
+    "eq_partner_block": (
+        lambda: parse("forall v z. exists v x. exists vs A. exists v w. "
+                      "(exists e y. inc(x, y) and inc(w, y)) and w = z"),
+        "6f20800f982a54d8ccaf8c48521ada749abfde9fb3adc3c1a7ad9c4e9285adac",
+        119884),
 }
 
 
@@ -902,6 +924,51 @@ def test_compiled_formula_pinned(name):
                       sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert budget.used == charged
+
+
+def test_each_connective_is_one_combine(monkeypatch):
+    # or, implies and iff of the same two operands: each compiles both
+    # operands and then runs one combine over their simulations, with no
+    # complement of either, so all three charge the same cold
+    module = sys.modules[_Compiler.__module__]
+    real = module.functional_product
+    runs = {}
+    for connective in (Or, Implies, Iff):
+        stages = []
+
+        def recording(*args, stages=stages):
+            stages.append(args[-1])
+            return real(*args)
+
+        clear_caches()
+        budget = Budget(None)
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "functional_product", recording)
+            compile_formula(connective(even_order(), no_isolated_vertex()), 3,
+                            budget)
+        runs[connective] = (stages, budget.used)
+    assert runs[Or] == runs[Implies] == runs[Iff]
+    stages, charged = runs[Or]
+    assert stages.count("combine") == 1
+    assert charged == 99945
+
+
+def test_exists_block_projects_once(monkeypatch):
+    # the block's three binders are erased by one projection; the other
+    # is the sentence's erasure to the plain bag alphabet
+    module = sys.modules[_Compiler.__module__]
+    real = module.project
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    clear_caches()
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "project", counting)
+        compile_formula(EXISTS_BLOCK, 3, Budget(None))
+    assert len(calls) == 2
 
 
 # SHA-256 of the canonical JSON of validity_automaton(3, xs) and its
