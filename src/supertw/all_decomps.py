@@ -10,7 +10,8 @@ mask) plus a count of closed components. Label deaths are visible on
 plain-bag transitions (a label of the child bag missing from the parent
 bag), so the root markings of the enriched construction need no
 guessing here, and the fused state space stays small enough to
-materialize.
+materialize. `materialize` is the one bottom-up explorer of step
+machines: it explores DecompMachine and the solver's simplicity machine.
 """
 
 from __future__ import annotations
@@ -25,25 +26,15 @@ from .util import Budget, osorted
 
 
 class DecompMachine:
-    """Transition engine for the decompositions-of-G automaton.
+    """Step machine of the decompositions-of-G automaton, explored by
+    `materialize` (which states the protocol).
 
     A state is (live, closed): live maps each label of the current root
     bag to its concrete vertex and a bitmask of realized incident edges;
-    closed counts components already ended. The engine exposes a step
-    function on zero, one or two child states and the acceptance test;
-    `materialize` explores it by bottom-up reachability.
-
-    The step reads one bag set B and returns the targets for every symbol
-    with that bag set (`bag_sets[B]`, in alphabet order) at once: the
-    symbols differ only in the edge they realize, after all the work of
-    merging the children. It is a pure function of the children and B,
-    and symmetric in its two children, so a caller may reuse one result
-    for both orders of a pair.
-
-    For binary steps it also exposes a pair key per (state, bag set) and
-    a compatibility test on two keys. They mirror the step's early
-    returns: two child states whose keys are incompatible under B get no
-    target under any symbol of B, so an exploration may skip them unseen.
+    closed counts components already ended. The step serves a whole bag
+    set because its symbols differ only in the edge they realize, after
+    all the work of merging the children. The pair key and compatibility
+    test mirror the step's early returns.
     """
 
     def __init__(self, g: Graph, t: int):
@@ -222,8 +213,18 @@ class _PairIndex:
 
 
 def materialize(machine: DecompMachine, budget: Budget | None = None):
-    """The reachable part of a DecompMachine, unreduced, and its machine
+    """The reachable part of a step machine, unreduced, and its machine
     states: (automaton, the states in discovery order).
+
+    A step machine has an `alphabet` and its symbols grouped by bag set,
+    `bag_sets` (B -> symbols, in alphabet order). `step_bag_set(children,
+    B)` gives, over zero, one or two child states, one sequence of
+    distinct targets per symbol of `bag_sets[B]`; it is pure and
+    symmetric in its two children. `pair_key(state, B)` is what a binary
+    step reads of a child, None when it rejects every pair with it, and
+    `compatible(k1, k2, len(B))` is False only for pairs that get no
+    target under any symbol of B. `is_final(state)` is acceptance.
+    DecompMachine and the solver's `_SimpleMachine` implement it.
 
     The automaton's states are the ids 0..n-1 of the machine states in
     discovery order, the order `to_json` numbers them by; its transitions,

@@ -271,13 +271,12 @@ _PREC = {
 def to_text(phi: Formula) -> str:
     """Render a formula in the concrete syntax accepted by parse_formula."""
 
-    def wrap(child, parent_prec, side=""):
+    def wrap(child, parent_prec, tight=False):
         text, prec = render(child)
-        need = prec < parent_prec
-        # right-associative operators reuse their own precedence level on
-        # the right operand, so -> chains print without parens
-        if side == "left" and prec == parent_prec and parent_prec in (1, 2):
-            need = True
+        # an operand at its parent's level needs parens on the side the
+        # parser does not chain: the left of right-associative -> and <->,
+        # the right of left-associative and and or
+        need = prec < parent_prec or (tight and prec == parent_prec)
         return f"({text})" if need else text
 
     def render(f):
@@ -296,13 +295,13 @@ def to_text(phi: Formula) -> str:
         if isinstance(f, Not):
             return f"not {wrap(f.body, 5)}", 5
         if isinstance(f, And):
-            return f"{wrap(f.left, 4)} and {wrap(f.right, 4)}", 4
+            return f"{wrap(f.left, 4)} and {wrap(f.right, 4, True)}", 4
         if isinstance(f, Or):
-            return f"{wrap(f.left, 3)} or {wrap(f.right, 3)}", 3
+            return f"{wrap(f.left, 3)} or {wrap(f.right, 3, True)}", 3
         if isinstance(f, Implies):
-            return f"{wrap(f.left, 2, 'left')} -> {wrap(f.right, 2)}", 2
+            return f"{wrap(f.left, 2, True)} -> {wrap(f.right, 2)}", 2
         if isinstance(f, Iff):
-            return f"{wrap(f.left, 1, 'left')} <-> {wrap(f.right, 1)}", 1
+            return f"{wrap(f.left, 1, True)} <-> {wrap(f.right, 1)}", 1
         if isinstance(f, Exists):
             body, _ = render(f.body)
             return f"exists {f.var.kind.value} {f.var.name}. {body}", 0

@@ -37,7 +37,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .all_decomps import build_all_decompositions
+from .all_decomps import build_all_decompositions, materialize
 from .cmso.ast import free_vars
 from .cmso.compile import compile as compile_formula, is_compiled
 from .cmso.evaluate import eval_direct
@@ -102,56 +102,45 @@ class SupergraphVerdict:
         }
 
 
-def simple_automaton(t: int) -> TreeAutomaton:
-    """Deterministic bag automaton for terms that decode to simple graphs.
+class _SimpleMachine:
+    """The simplicity automaton as a step machine for `materialize`.
 
-    State: the set of label pairs {s, s'} whose two live components already
-    have an edge between them. A second edge on a live pair would decode to
-    a parallel edge, so no transition exists there (every reachable state is
-    accepting; rejection is run failure). At most 2^C(t,2) states.
+    A state is the set of label pairs {s, s'} whose two live components
+    already have an edge between them. A second edge on a live pair would
+    decode to a parallel edge, so the step has no target there: every
+    state accepts, and rejection is run failure. At most 2^C(t,2) states.
+    A state's pair key under B is its pairs still live in B, all the step
+    reads of it; two children pair exactly when their keys are disjoint.
     """
-    alphabet = tuple(osorted(bag_alphabet(t)))
 
-    def step(child_states, sym):
-        keep = [frozenset(p for p in e if p <= sym.B) for e in child_states]
+    def __init__(self, t: int):
+        self.alphabet = tuple(osorted(bag_alphabet(t)))
+        self.bag_sets: dict = {}
+        for sym in self.alphabet:
+            self.bag_sets.setdefault(sym.B, []).append(sym)
+
+    def step_bag_set(self, children, B):
+        keep = [self.pair_key(q, B) for q in children]
         if len(keep) == 2 and keep[0] & keep[1]:
-            return None  # both subterms put an edge on the same live pair
-        merged = set()
-        for k in keep:
-            merged |= k
-        if sym.b:
-            if sym.b in merged:
-                return None
-            merged.add(sym.b)
-        return frozenset(merged)
+            return [()] * len(self.bag_sets[B])
+        merged = frozenset().union(*keep)
+        return [() if sym.b in merged else (merged | {sym.b} if sym.b else merged,)
+                for sym in self.bag_sets[B]]
 
-    transitions = []
-    seen = {}
-    order = []
+    def pair_key(self, state, B):
+        return frozenset(p for p in state if p <= B)
 
-    def discover(children, sym):
-        q = step(children, sym)
-        if q is None:
-            return
-        transitions.append((children, sym, q))
-        if q not in seen:
-            seen[q] = True
-            order.append(q)
+    def compatible(self, k1, k2, size) -> bool:
+        return not k1 & k2
 
-    for sym in alphabet:
-        discover((), sym)
-    frontier = 0
-    while frontier < len(order):
-        q = order[frontier]
-        frontier += 1
-        for sym in alphabet:
-            discover((q,), sym)
-            for other in order[:frontier]:
-                discover((q, other), sym)
-                if other != q:
-                    discover((other, q), sym)
-    return TreeAutomaton.raw(alphabet, tuple(order), frozenset(order),
-                             tuple(transitions))
+    def is_final(self, state) -> bool:
+        return True
+
+
+def simple_automaton(t: int) -> TreeAutomaton:
+    """Deterministic bag automaton for terms that decode to simple graphs:
+    `materialize` over `_SimpleMachine`, outside any solve's budget."""
+    return materialize(_SimpleMachine(t), Budget(None))[0]
 
 
 def lift_to_pairs(aut: TreeAutomaton, t: int) -> TreeAutomaton:
@@ -182,26 +171,26 @@ def lift_to_pairs(aut: TreeAutomaton, t: int) -> TreeAutomaton:
 
 
 def _phi_automaton(phi, t1, simple, budget):
-    """Reduced automaton for phi at t1 labels, optionally conjoined with
-    the simplicity automaton (conjunction of languages = intersection),
-    and whether a cache answered."""
+    """Reduced automaton for phi at t1 labels, and whether a cache answered;
+    with `simple`, its intersection with the simplicity automaton (the
+    conjunction), which `_PHI_CACHE` holds under (phi, t1)."""
     compiled = is_compiled(phi, t1)
+    aut = compile_formula(phi, t1, budget)
+    if not simple:
+        return aut, compiled
 
     def make():
-        aut = compile_formula(phi, t1, budget)
-        if simple:
-            aut = reduce_bisim(trim(intersect(aut, simple_automaton(t1), budget), budget),
-                               budget)
-        return aut
+        return reduce_bisim(trim(intersect(aut, simple_automaton(t1), budget), budget),
+                            budget)
 
-    aut, hit = _PHI_CACHE.fetch((phi, t1, simple), budget, make)
+    aut, hit = _PHI_CACHE.fetch((phi, t1), budget, make)
     return aut, hit or compiled
 
 
-def _sub_automaton(phi, t1, simple, paired, budget):
-    """Reduced sub-closure of the phi automaton, and whether a cache answered."""
+def _sub_automaton(phi, t1, simple, paired, aut, budget):
+    """Reduced sub-closure of `aut`, which `_phi_automaton` gave for (phi,
+    t1, simple) under this budget, and whether a cache answered."""
     def make():
-        aut, _ = _phi_automaton(phi, t1, simple, budget)
         closed = sub_closure_paired(aut, budget) if paired else sub_closure(aut, budget)
         return reduce_bisim(closed, budget)
 
@@ -315,7 +304,7 @@ def _decide(g, phi, t, simple, budget, want_witness):
     _stage(stats, "compile", start, budget, phi_aut, cached=cached)
 
     start = _start(budget)
-    sub_aut, cached = _sub_automaton(phi, t1, simple, False, budget)
+    sub_aut, cached = _sub_automaton(phi, t1, simple, False, phi_aut, budget)
     _stage(stats, "sub_closure", start, budget, sub_aut, cached=cached)
 
     start = _start(budget)
@@ -330,7 +319,7 @@ def _decide(g, phi, t, simple, budget, want_witness):
     witness = None
     if answer and want_witness:
         start = _start(budget)
-        sp, cached = _sub_automaton(phi, t1, simple, True, budget)
+        sp, cached = _sub_automaton(phi, t1, simple, True, phi_aut, budget)
         _stage(stats, "sub_closure_paired", start, budget, sp, cached=cached)
         witness = _reconstruct(g, phi, t1, a_g, phi_aut, sp, budget,
                                simple, stats)

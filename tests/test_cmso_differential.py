@@ -4,16 +4,18 @@ Hypothesis draws well-kinded sentences of quantifier depth at most 2
 over every variable kind, with not, and, or, implies, iff, and blocks of
 exists and of forall binders. Each is compiled at 2 labels, and every
 term of depth at most 2 over the 2-label bag alphabet must be accepted
-exactly when `eval_direct` holds on its decoded graph. The settings are
+exactly when `eval_direct` holds on its decoded graph. The same
+formulas must also parse back from `to_text` unchanged. The settings are
 derandomized, so the same formulas run every time.
 """
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from supertw.cmso.ast import (And, Card, Exists, Forall, Iff, Implies, Inc,
-                              MemE, MemV, Not, Or, Var, VarEq, VarKind)
+                              MemE, MemV, Not, Or, Var, VarEq, VarKind, to_text)
 from supertw.cmso.compile import compile as compile_formula
 from supertw.cmso.evaluate import eval_direct
+from supertw.cmso.parser import parse
 from supertw.decomp import bag_alphabet, decode_graph
 from supertw.terms import enumerate_terms
 from supertw.tree_automata import accepts
@@ -99,3 +101,12 @@ def test_compiled_sentence_agrees_with_evaluator(phi):
     for tm in TERMS:
         want = eval_direct(phi, decode_graph(tm))
         assert accepts(aut, tm) == want, f"{phi!r} on {tm!r}"
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(formulas())
+@example(Exists(X, Exists(Y, And(VarEq(X, X), And(VarEq(X, X), VarEq(X, X))))))
+@example(Forall(X, Or(VarEq(X, X), Or(Not(VarEq(X, X)), VarEq(X, X)))))
+def test_to_text_round_trips(phi):
+    assert parse(to_text(phi)) == phi, to_text(phi)

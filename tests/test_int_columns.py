@@ -148,7 +148,9 @@ def test_paired_product_and_extraction_stay_small():
     t=2 (3 labels), as `warm_witness` solves it after its warm-up on P2,
     in under 6 MB; the product's tuple view is never built."""
     phi = no_isolated_vertex()
-    sp = solver._sub_automaton(phi, 3, False, True, Budget(None))[0]
+    sp = solver._sub_automaton(
+        phi, 3, False, True,
+        solver._phi_automaton(phi, 3, False, Budget(None))[0], Budget(None))[0]
 
     def lifted_decompositions(edges):
         g = Graph(range(1 + max(map(max, edges))),

@@ -5,6 +5,7 @@ sweep live in test_acceptance; everything here runs at 2-3 bag labels.
 """
 
 import gc
+import hashlib
 import json
 import random
 
@@ -26,10 +27,10 @@ from supertw.solver import (clear_caches, has_supergraph, lift_to_pairs,
                             witness_supergraph)
 from supertw.subdecomp import pair_alphabet
 from supertw.terms import enumerate_terms, map_symbols
-from supertw.tree_automata import TreeAutomaton, accepts
-from supertw.util import Budget
+from supertw.tree_automata import TreeAutomaton, accepts, to_json
+from supertw.util import Budget, ChargedCache
 from corpus import (collections_inside, cycle, is_isomorphic, path,
-                    single_vertex, tautology)
+                    single_vertex, star, tautology)
 
 DIAM1 = gen_diam(1)
 
@@ -170,6 +171,28 @@ def test_compile_cache_hit_reported():
     assert stats["sub_closure"]["cached"] is False
 
 
+def test_each_cache_is_fetched_once_per_automaton(monkeypatch):
+    # the closure reads the automaton the solve already holds, and the
+    # formula automaton alone lives only in the compiler's cache
+    fetches = []
+    fetch = ChargedCache.fetch
+
+    def counting(cache, key, budget, make):
+        value, hit = fetch(cache, key, budget, make)
+        fetches.append((cache.name, hit))
+        return value, hit
+
+    monkeypatch.setattr(ChargedCache, "fetch", counting)
+    clear_caches()
+    assert solve_named(path(3), {"diam": 1}, 2).answer
+    assert [hit for name, hit in fetches if name == "phi"] == [False]
+    clear_caches()
+    fetches.clear()
+    assert has_supergraph(path(3), no_isolated_vertex(), 1).answer
+    assert [name for name, _ in fetches if name == "phi"] == []
+    assert not solver._PHI_CACHE._entries
+
+
 def test_stage_charges_sum_to_budget_used():
     g, phi, t = path(3), no_isolated_vertex(), 1
     clear_caches()
@@ -204,6 +227,46 @@ def test_simple_automaton_matches_compiled_formula(t):
     compiled = compile_formula(simple_graph(), t)
     for tm in enumerate_terms(bag_alphabet(t), 3):
         assert accepts(hand, tm) == accepts(compiled, tm), repr(tm)
+
+
+# (states, transitions, SHA-256 of the sorted-key to_json) per label count,
+# as the hand-written exploration loop built them: the simplicity automaton
+# enters every solve_named product, so its state order may not move
+SIMPLE_PINS = {
+    1: (1, 6, "be06b292f05f3f5568bc5a6174588d84dc4905a79eb3b6b84cda6c4555291084"),
+    2: (2, 30, "f119a08f80b572b1a8487ac1d71d72aabb414ef768441f06d4068b37b96b9b03"),
+    3: (8, 604, "ab2add35e7b20e82031f068452e10e760388271df657ec84283d761850345ec3"),
+    4: (64, 62899, "d04d237ad4e57f6211a84d3ac3d0ee32615d854421308ae8ea2413801a7d6764"),
+}
+
+
+@pytest.mark.parametrize("t", sorted(SIMPLE_PINS))
+def test_simple_automaton_pinned(t):
+    states, transitions, digest = SIMPLE_PINS[t]
+    aut = simple_automaton(t)
+    assert (len(aut.states), aut.n_transitions) == (states, transitions)
+    text = json.dumps(to_json(aut), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# cold charge and witness SHA-256 of two preset witness solves at t=2
+PRESET_WITNESS_PINS = {
+    "P3 diam=1": (path(3), {"diam": 1}, 111220,
+                  "77f7688a57ea2ad01b78d5c0a04c7dc2eab497fe495b18bf3cf7fe1368c950aa"),
+    "K1,3 vertex_cover=1": (star(3), {"vertex_cover": 1}, 294299,
+                            "e114c59b112f81c8b4fabd0366618725d44f53b91f356bc862bb4743378d136f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_WITNESS_PINS))
+def test_preset_witness_pinned(name):
+    g, preset, charged, digest = PRESET_WITNESS_PINS[name]
+    clear_caches()
+    budget = Budget(None)
+    verdict = solve_named(g, preset, 2, budget=budget, want_witness=True)
+    assert verdict.answer and budget.used == charged
+    text = json.dumps(verdict.witness.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_simple_automaton_matches_compiled_formula_three_labels():

@@ -830,7 +830,9 @@ def warm_decide_triples():
     for shape, phi, simple in (("C4", vc, True), ("paw", niv, False),
                                ("P4x2", vc, True)):
         g = Graph(range(4), {f"e{i}": e for i, e in enumerate(shapes[shape])})
-        sub, _ = solver._sub_automaton(phi, 3, simple, False, Budget(None))
+        sub, _ = solver._sub_automaton(
+            phi, 3, simple, False,
+            solver._phi_automaton(phi, 3, simple, Budget(None))[0], Budget(None))
         out.append((shape, build_all_decompositions(g, 3), sub))
     return out
 
@@ -921,7 +923,9 @@ def paired_closure():
     from supertw.cmso.parser import parse
 
     phi = parse("forall v x. exists e y. inc(x, y)")
-    return solver._sub_automaton(phi, 3, False, True, Budget(None))[0]
+    return solver._sub_automaton(
+        phi, 3, False, True,
+        solver._phi_automaton(phi, 3, False, Budget(None))[0], Budget(None))[0]
 
 
 def dump_digest(aut):
