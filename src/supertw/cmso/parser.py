@@ -31,6 +31,7 @@ _KEYWORDS = {"true", "false", "not", "and", "or", "exists", "forall", "in",
 _KINDS = {"v": VarKind.VERTEX, "e": VarKind.EDGE,
           "vs": VarKind.VERTEX_SET, "es": VarKind.EDGE_SET}
 _PUNCT = ("<->", "->", "(", ")", ",", ".", "=")
+_DIGITS = frozenset("0123456789")  # str.isdigit also takes "²", which int() rejects
 
 
 class _Token:
@@ -75,9 +76,9 @@ def _tokenize(src: str):
             i += len(matched)
             col += len(matched)
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("int", src[i:j], line, col))
             col += j - i

@@ -9,6 +9,7 @@ emitted in that order so downstream constructions stay deterministic.
 from __future__ import annotations
 
 import json
+import re
 from collections import deque
 
 from .errors import InvalidGraphError
@@ -28,10 +29,11 @@ class Graph:
         vset = set(self.vertices)
         ends = {}
         for e in osorted(edges):
-            pts = frozenset(edges[e])
+            given = tuple(edges[e])
+            pts = frozenset(given)
             if len(pts) == 1:
                 raise InvalidGraphError(f"edge {e!r} is a loop")
-            if len(pts) not in (0, 2):
+            if len(given) not in (0, 2):
                 raise InvalidGraphError(f"edge {e!r} must have 0 or 2 endpoints")
             if not pts <= vset:
                 raise InvalidGraphError(f"edge {e!r} has undeclared endpoint")
@@ -169,28 +171,55 @@ def graph_to_json(g: Graph) -> dict:
     }
 
 
+def _json_id(x):
+    """x, if it is a graph id a JSON file may give: a string or an integer.
+    A bool, float or null would compare equal to another id or to none."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise InvalidGraphError(f"an id must be a string or an integer, got {x!r}")
+    return x
+
+
 def graph_from_json(obj) -> Graph:
-    try:
-        vertices = obj["vertices"]
-        edges = {rec["id"]: rec["ends"] for rec in obj["edges"]}
-    except (KeyError, TypeError) as exc:
-        raise InvalidGraphError(f"malformed graph object: {exc}") from exc
-    if len(edges) != len(obj["edges"]):
+    """The graph of a JSON object {"vertices": [id, ...], "edges": [{"id":
+    id, "ends": [] or [id, id]}, ...]}, its ids strings or integers, no
+    vertex or edge id given twice; any other shape raises
+    InvalidGraphError."""
+    if not isinstance(obj, dict):
+        raise InvalidGraphError("a graph must be a JSON object")
+    vertices, records = obj.get("vertices"), obj.get("edges")
+    if not isinstance(vertices, list) or not isinstance(records, list):
+        raise InvalidGraphError('a graph needs a "vertices" list and an "edges" list')
+    if len(set(map(_json_id, vertices))) != len(vertices):
+        raise InvalidGraphError("duplicate vertex id")
+    edges = {}
+    for rec in records:
+        if not (isinstance(rec, dict) and "id" in rec and isinstance(rec.get("ends"), list)):
+            raise InvalidGraphError(f'an edge needs an "id" and an "ends" list, got {rec!r}')
+        edges[_json_id(rec["id"])] = [_json_id(v) for v in rec["ends"]]
+    if len(edges) != len(records):
         raise InvalidGraphError("duplicate edge id")
     return Graph(vertices, edges)
+
+
+_INT = re.compile(r"-?[0-9]+")
+
+
+def _reject_constant(name):
+    raise InvalidGraphError(f"{name} is not JSON")
 
 
 def load_graph(path) -> Graph:
     """Load a graph from a .json file or an edge-list text file.
 
-    Edge-list lines are `u v` pairs; blank lines and `#` comments are skipped;
-    tokens that look like integers are read as integers. Edge ids are e0, e1,
-    ... in line order. A line with a single token declares an isolated vertex.
+    A text starting with `{` or `[` is read as JSON (`graph_from_json`),
+    without NaN or Infinity. Edge-list lines are `u v` pairs; blank lines
+    and `#` comments are skipped; tokens of ASCII digits, with an optional
+    leading `-`, are read as integers. Edge ids are e0, e1, ... in line
+    order. A line with a single token declares an isolated vertex.
     """
     text = open(path, "r", encoding="utf-8").read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return graph_from_json(json.loads(text))
+    if text.lstrip()[:1] in ("{", "["):
+        return graph_from_json(json.loads(text, parse_constant=_reject_constant))
     vertices = []
     edges = {}
     n = 0
@@ -198,8 +227,7 @@ def load_graph(path) -> Graph:
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        toks = line.split()
-        toks = [int(t) if t.lstrip("-").isdigit() else t for t in toks]
+        toks = [int(t) if _INT.fullmatch(t) else t for t in line.split()]
         if len(toks) == 1:
             vertices.append(toks[0])
         elif len(toks) == 2:
@@ -209,3 +237,4 @@ def load_graph(path) -> Graph:
         else:
             raise InvalidGraphError(f"line {lineno}: expected 'u v', got {line!r}")
     return Graph(vertices, edges)
+

@@ -15,9 +15,10 @@ writes columns, so none of them builds the tuple view.
 
 The constructions here are the ones the pipeline runs: product,
 projection, `trim`, `reduce_bisim` and witness extraction. The product
-is one join, `_product`, behind two wrappers: `intersect` builds the
-product automaton and `intersection_nonempty` stops at its first final
-pair without building transitions. Negation needs no subset
+is one join, `_product`, behind three wrappers: `intersect` builds the
+product automaton, `witness_prefix` builds it only until its witness is
+decided, and `intersection_nonempty` stops at its first final pair
+without building transitions. Negation needs no subset
 construction in this module: `cmso.compile` subtracts from the validity
 automaton. Every construction iterates in a canonical order so its output
 is reproducible byte for byte. The products spend against a `util.Budget`
@@ -249,20 +250,30 @@ def _child_indexes(aut: TreeAutomaton):
     return got
 
 
-class _FinalPair(Exception):
-    """A deciding `_product` found its first final pair."""
+class _Stop(Exception):
+    """A `_product` with a stopping rule met it."""
 
 
-def _product(a: TreeAutomaton, b: TreeAutomaton, budget, stage, decide):
-    """The product join behind `intersect` and `intersection_nonempty`.
+def _product(a: TreeAutomaton, b: TreeAutomaton, budget, stage, stop=None):
+    """The product join behind `intersect`, `witness_prefix` and
+    `intersection_nonempty`.
 
-    Returns (pairs, cols): pairs[id] is (qa, qb, id of the pair whose pop
-    found it, -1 for a leaf pair), state positions numbered in discovery
-    order; cols are the transitions' columns (`int_columns`) over pair ids in
-    emission order, each appended once with one `budget.spend(1, stage)`.
-    With `decide` no transition is built: each new pair spends 1 instead,
-    and the first final pair raises `_FinalPair`. Both modes number the
-    pairs alike.
+    Returns (pairs, cols, stopped): pairs[id] is (qa, qb, id of the pair
+    whose pop found it, -1 for a leaf pair), state positions numbered in
+    discovery order; cols are the transitions' columns (`int_columns`)
+    over pair ids in emission order, each appended once with one
+    `budget.spend(1, stage)`. Three stopping rules share the join and
+    number the pairs alike:
+
+    - `stop=None` builds everything (`intersect`);
+    - `stop="final"` builds no transition: each new pair spends 1
+      instead, and the first final pair stops the join
+      (`intersection_nonempty`);
+    - `stop="witness"` stops right after the transition from which
+      `extract_witness` would build its witness on the whole product, or
+      at the pop that makes it certain (`witness_prefix`).
+
+    `stopped` says whether the rule fired before the join ran out.
 
     Pairs are popped in id order, and each pop checks the deadline. The
     pop of p = (pa, pb) runs every rule pair of a and b with child pa and
@@ -283,7 +294,9 @@ def _product(a: TreeAutomaton, b: TreeAutomaton, budget, stage, decide):
     met p with itself. `born` met p if p was found before their rule pair
     came up in that pop: each pop keeps, per partner it found itself, the
     transitions it made with it (`met`), and the partner's pop skips
-    those. A skipped meeting finds no new pair.
+    those. A skipped meeting finds no new pair. So once the pop of p
+    completes, every transition whose children are all pairs of id <= p
+    has been emitted.
 
     An a-rule whose target is its own other child (qa == ca) gives ca a
     new partner with each pair it finds, and b-rules later in the same
@@ -301,12 +314,16 @@ def _product(a: TreeAutomaton, b: TreeAutomaton, budget, stage, decide):
     a_left, a_right, _, a_target = a.columns
     b_left, b_right, _, b_target = b.columns
     afin, bfin = a.final_ids, b.final_ids
+    decide = stop == "final"
     spend = budget.spend
     partners = {}  # qa -> {qb: id of the pair (qa, qb)}, in discovery order
     pairs = []     # id -> (qa, qb, id of the pair whose pop found it)
     cols = int_columns()  # the transitions over pair ids, in emission order
     add_l, add_r, add_s, add_q = (col.append for col in cols)
     met = {}       # id c -> {(left, right, si, target)} its finder's pop made with c
+    due = -1       # with stop="witness", the pop after which a round settles
+    if stop == "witness":
+        spend, settle = _witness_watch(pairs, cols, afin, bfin, spend)
 
     def targets(qa):
         """qa's known partners, kept live in `partners`."""
@@ -322,7 +339,7 @@ def _product(a: TreeAutomaton, b: TreeAutomaton, budget, stage, decide):
         if decide:
             spend(1, stage)
             if qa in afin and qb in bfin:
-                raise _FinalPair
+                raise _Stop
         return t
 
     def cross(la, lb, child, si, born):
@@ -401,40 +418,96 @@ def _product(a: TreeAutomaton, b: TreeAutomaton, budget, stage, decide):
                         got = met[c] = set()
                     got.add((l, r, si, t))
 
-    for si, (la, lb) in enumerate(zip(aL, bL)):
-        cross(la, lb, -1, si, -1)
+    try:
+        for si, (la, lb) in enumerate(zip(aL, bL)):
+            cross(la, lb, -1, si, -1)
+        if stop == "witness":
+            due = settle(-1)
 
-    nsym = len(a.alphabet)
-    p = 0
-    while p < len(pairs):
-        budget.check_time(stage)
-        pa, pb, born = pairs[p]
-        start = len(pairs)
-        seen = met.pop(p, None)
-        for si in range(nsym):
-            la = aU[si].get(pa)
-            if la:
-                lb = bU[si].get(pb)
-                if lb:
-                    cross(la, lb, p, si, p)
-            la = aB1[si].get(pa)
-            if la:
-                lb = bB1[si].get(pb)
-                if lb:
-                    join(la, lb, 0, si, p, pb, born, p, start, seen)
-            la = aB2[si].get(pa)
-            if la:
-                lb = bB2[si].get(pb)
-                if lb:
-                    join(la, lb, 1, si, p, pb, born, p + 1, start, seen)
-        p += 1
-    return pairs, cols
+        nsym = len(a.alphabet)
+        p = 0
+        while p < len(pairs):
+            budget.check_time(stage)
+            pa, pb, born = pairs[p]
+            start = len(pairs)
+            seen = met.pop(p, None)
+            for si in range(nsym):
+                la = aU[si].get(pa)
+                if la:
+                    lb = bU[si].get(pb)
+                    if lb:
+                        cross(la, lb, p, si, p)
+                la = aB1[si].get(pa)
+                if la:
+                    lb = bB1[si].get(pb)
+                    if lb:
+                        join(la, lb, 0, si, p, pb, born, p, start, seen)
+                la = aB2[si].get(pa)
+                if la:
+                    lb = bB2[si].get(pb)
+                    if lb:
+                        join(la, lb, 1, si, p, pb, born, p + 1, start, seen)
+            if p == due:
+                due = settle(p)
+            p += 1
+    except _Stop:
+        return pairs, cols, True
+    return pairs, cols, False
+
+
+def _witness_watch(pairs, cols, afin, bfin, spend):
+    """The stopping rule of `witness_prefix` over a `_product`'s growing
+    `pairs` and `cols`, with the rounds kept by a `_Rounds`: (the spend to
+    call per emitted transition, the settle to call after the pop that
+    settles a round). The spend stops the join at a transition into a
+    final pair whose children are all settled. `settle(p)` admits what was
+    emitted, takes every round that pop p settled, and stops the join if
+    a round readied a transition into a final pair; else it returns the
+    pop that settles the next round, or -1 once no pair is left to take.
+    Both stop by raising `_Stop`."""
+    rounds = _Rounds(cols)
+    choice = rounds.choice
+    left, right, _, target = cols
+
+    def final(t):
+        qa, qb, _ = pairs[t]
+        return qa in afin and qb in bfin
+
+    def watched(n, stage):
+        spend(n, stage)
+        k = len(target) - 1
+        if final(target[k]):
+            l, r = left[k], right[k]
+            if (l < 0 or l in choice) and (r < 0 or r in choice):
+                raise _Stop
+
+    def settle(p):
+        while True:
+            rounds.admit()
+            taken = rounds.take()
+            if not taken:
+                return -1
+            rounds.release(taken)
+            if any(final(target[k]) for k in rounds.ready):
+                raise _Stop
+            last = max(taken)
+            if last > p:
+                return last
+
+    return watched, settle
 
 
 def _drain(heap):
     """Pop `heap` until it is empty, taking pushes made in between."""
     while heap:
         yield heappop(heap)
+
+
+def _pair_automaton(a, b, pairs, cols):
+    """The automaton over pair ids of a `_product`'s pairs and columns."""
+    afin, bfin = a.final_ids, b.final_ids
+    final = [i for i, (qa, qb, _) in enumerate(pairs) if qa in afin and qb in bfin]
+    return TreeAutomaton.from_columns(a.alphabet, range(len(pairs)), final, cols)
 
 
 def intersect(a: TreeAutomaton, b: TreeAutomaton, budget: Budget | None = None):
@@ -446,10 +519,35 @@ def intersect(a: TreeAutomaton, b: TreeAutomaton, budget: Budget | None = None):
     order, as columns, each charged 1 under "intersect"; each pop checks
     the deadline.
     """
-    pairs, cols = _product(a, b, budget, "intersect", False)
-    afin, bfin = a.final_ids, b.final_ids
-    final = [i for i, (qa, qb, _) in enumerate(pairs) if qa in afin and qb in bfin]
-    return TreeAutomaton.from_columns(a.alphabet, range(len(pairs)), final, cols)
+    pairs, cols, _ = _product(a, b, budget, "intersect")
+    return _pair_automaton(a, b, pairs, cols)
+
+
+def witness_prefix(a: TreeAutomaton, b: TreeAutomaton, budget: Budget | None = None):
+    """The part of `intersect(a, b)` that decides its witness.
+
+    The first n transitions of `intersect(a, b)`, in its order, over the
+    pairs found so far, where `_product` stops on the `"witness"` rule
+    (`_witness_watch`): `extract_witness` returns the same term on it as
+    on the whole product. A transition's round is one more than its last
+    child's (0 for a leaf), and a pair's is that of the first transition
+    ready into it. Once the pop of pair id N completes, every transition
+    whose children both have ids <= N has been emitted, so once the pop of
+    the largest id of round <= r completes, every pair of round r + 1 and
+    every transition it could take are known at their final positions.
+    While no pair of the settled rounds is final, the first transition
+    into a final pair whose children are all settled is the witness root:
+    the join stops right after it, or at the settlement that readies it
+    if it came out before its children settled. Emission is
+    `intersect`'s, only cut short, so the rounds up to the witness's, the
+    candidates and their positions, and so the tie-break, are
+    `intersect`'s. An empty product is built whole.
+
+    Each transition is charged 1 under "intersect", and each pop checks
+    the deadline, as in `intersect`.
+    """
+    pairs, cols, _ = _product(a, b, budget, "intersect", "witness")
+    return _pair_automaton(a, b, pairs, cols)
 
 
 def intersection_nonempty(a: TreeAutomaton, b: TreeAutomaton,
@@ -461,11 +559,7 @@ def intersection_nonempty(a: TreeAutomaton, b: TreeAutomaton,
     final pair's id + 1 and a NO the number of reachable pairs; each pop
     checks the deadline.
     """
-    try:
-        _product(a, b, budget, "intersection_nonempty", True)
-    except _FinalPair:
-        return True
-    return False
+    return _product(a, b, budget, "intersection_nonempty", "final")[2]
 
 
 def project(a: TreeAutomaton, f, alphabet=None):
@@ -739,56 +833,105 @@ def reduce_bisim(aut: TreeAutomaton, budget: Budget | None = None) -> TreeAutoma
 def extract_witness(aut: TreeAutomaton, budget: Budget | None = None):
     """A minimal-depth accepted term, or None if the language is empty.
 
-    Deterministic: states acquire witnesses in breadth-first rounds. A
-    transition becomes ready in the round after the last of its children
-    acquires one, and each state takes the first ready transition into it
-    in transition order; the first final state to acquire a witness (round
-    order, then the order of the transitions taken) is reported. Each
-    transition waits on one missing child at a time, so the whole search
-    reads each transition a bounded number of times. It runs on the
-    columns, with transition positions in `array("i")` wait lists. With a
-    budget, its deadline is checked once per round.
+    Deterministic: states acquire witnesses in breadth-first rounds
+    (`_Rounds`). A transition becomes ready in the round after the last of
+    its children acquires one, and each state takes the first ready
+    transition into it in transition order; the first final state to
+    acquire a witness (round order, then the order of the transitions
+    taken) is reported. Each transition waits on one missing child at a
+    time, so the whole search reads each transition a bounded number of
+    times. It runs on the columns, with transition positions in
+    `array("i")` wait lists. With a budget, its deadline is checked once
+    per round.
     """
-    left, right, _, target = aut.columns
-    ready = array("i")  # positions of the transitions ready in the next round
-    waiting = {}        # state -> positions of the transitions waiting on it
-    for k, l in enumerate(left):
-        if l < 0:
-            ready.append(k)
-        else:
-            got = waiting.get(l)
-            if got is None:
-                got = waiting[l] = array("i")
-            got.append(k)
+    rounds = _Rounds(aut.columns)
+    rounds.admit()
     fin = aut.final_ids
-    choice = {}   # state -> position of the transition it took
-    while ready:
+    while rounds.ready:
         if budget is not None:
             budget.check_time("extract_witness")
-        taken = {}  # state new this round -> position of its first ready rule
-        for k in ready:
+        taken = rounds.take()
+        hits = [k for q, k in taken.items() if q in fin]
+        if hits:
+            return _build_term(rounds.target[min(hits)], rounds.choice, aut, {})
+        rounds.release(taken)
+    return None
+
+
+class _Rounds:
+    """The breadth-first rounds of `extract_witness` over transition
+    columns, which may grow between rounds.
+
+    `admit` enters the transitions appended since its last call: a
+    transition is ready once all its children have been chosen, and until
+    then waits on the first that has not. `take` runs one round: each
+    state not yet chosen takes the first ready transition into it, in
+    position order. `release` then readies, or moves on to their next
+    missing child, the transitions that waited on the states just taken.
+    So a leaf is ready in round 0, and a transition in the round after its
+    last child's."""
+
+    __slots__ = ("left", "right", "target", "choice", "ready", "waiting", "admitted")
+
+    def __init__(self, cols):
+        self.left, self.right, _, self.target = cols
+        self.choice = {}         # state -> position of the transition it took
+        self.ready = array("i")  # positions of the transitions ready next round
+        self.waiting = {}        # state -> positions of the transitions waiting on it
+        self.admitted = 0        # the positions below it have been admitted
+
+    def admit(self):
+        left, choice, ready, waiting = self.left, self.choice, self.ready, self.waiting
+        start, end = self.admitted, len(left)
+        later = []  # the transitions whose left child has been chosen
+        for k, l in enumerate(left[start:end], start):
+            if l < 0:
+                ready.append(k)
+            elif l in choice:
+                later.append(k)
+            else:
+                got = waiting.get(l)
+                if got is None:
+                    got = waiting[l] = array("i")
+                got.append(k)
+        self.admitted = end
+        self._park(later)
+
+    def take(self):
+        """{state: position of its transition} of the states new this round."""
+        target, choice = self.target, self.choice
+        taken = {}
+        for k in self.ready:
             q = target[k]
             if q not in choice and taken.get(q, k) >= k:
                 taken[q] = k
         choice.update(taken)
-        hits = [k for q, k in taken.items() if q in fin]
-        if hits:
-            return _build_term(target[min(hits)], choice, aut, {})
-        ready = array("i")
+        self.ready = array("i")
+        return taken
+
+    def release(self, taken):
+        waiting = self.waiting
         for q in taken:
-            for k in waiting.pop(q, ()):
-                if target[k] in choice:
-                    continue
-                l, r = left[k], right[k]
-                c = l if l not in choice else r if r >= 0 and r not in choice else None
-                if c is None:
-                    ready.append(k)
-                else:
-                    got = waiting.get(c)
-                    if got is None:
-                        got = waiting[c] = array("i")
-                    got.append(k)
-    return None
+            self._park(waiting.pop(q, ()))
+
+    def _park(self, ks):
+        """Ready each transition of ks whose children have all been chosen,
+        and let the others wait on their first child that has not."""
+        left, right, target, choice = self.left, self.right, self.target, self.choice
+        ready, waiting = self.ready, self.waiting
+        for k in ks:
+            if target[k] in choice:
+                continue
+            l, r = left[k], right[k]
+            c = (l if l >= 0 and l not in choice
+                 else r if r >= 0 and r not in choice else -1)
+            if c < 0:
+                ready.append(k)
+            else:
+                got = waiting.get(c)
+                if got is None:
+                    got = waiting[c] = array("i")
+                got.append(k)
 
 
 def _build_term(q, choice, aut, memo):

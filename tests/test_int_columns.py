@@ -144,9 +144,10 @@ def test_the_constructors_agree():
 # --- the witness path builds no tuples ------------------------------------
 
 def test_paired_product_and_extraction_stay_small():
-    """The P3x2 paired product and its witness for no_isolated_vertex at
-    t=2 (3 labels), as `warm_witness` solves it after its warm-up on P2,
-    in under 6 MB; the product's tuple view is never built."""
+    """The whole P3x2 paired product and its witness for no_isolated_vertex
+    at t=2 (3 labels), in under 6 MB; the product's tuple view is never
+    built. This tests `intersect`'s kernel on the product `warm_witness`
+    reads, not the solver's path, which builds only `witness_prefix`."""
     phi = no_isolated_vertex()
     sp = solver._sub_automaton(
         phi, 3, False, True,

@@ -251,9 +251,9 @@ def test_simple_automaton_pinned(t):
 
 # cold charge and witness SHA-256 of two preset witness solves at t=2
 PRESET_WITNESS_PINS = {
-    "P3 diam=1": (path(3), {"diam": 1}, 111220,
+    "P3 diam=1": (path(3), {"diam": 1}, 105811,
                   "77f7688a57ea2ad01b78d5c0a04c7dc2eab497fe495b18bf3cf7fe1368c950aa"),
-    "K1,3 vertex_cover=1": (star(3), {"vertex_cover": 1}, 294299,
+    "K1,3 vertex_cover=1": (star(3), {"vertex_cover": 1}, 248702,
                             "e114c59b112f81c8b4fabd0366618725d44f53b91f356bc862bb4743378d136f"),
 }
 
@@ -267,6 +267,32 @@ def test_preset_witness_pinned(name):
     assert verdict.answer and budget.used == charged
     text = json.dumps(verdict.witness.to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_preset_witness_answers_to_its_exact_cost():
+    g, preset, charged, digest = PRESET_WITNESS_PINS["P3 diam=1"]
+    clear_caches()
+    verdict = solve_named(g, preset, 2, budget=Budget(charged), want_witness=True)
+    text = json.dumps(verdict.witness.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    clear_caches()
+    with pytest.raises(ResourceExceededError):
+        solve_named(g, preset, 2, budget=Budget(charged - 1), want_witness=True)
+
+
+def test_warm_witness_reads_a_prefix_of_the_paired_product():
+    """no_isolated_vertex on P3x2 at t=2, warm after a P2 witness solve as
+    the `warm_witness` benchmark workload runs it: the witness SHA-256 the
+    whole paired product gave, from under half its 145 591 transitions."""
+    phi = no_isolated_vertex()
+    clear_caches()
+    has_supergraph(path(2), phi, 2, want_witness=True)
+    g = Graph(range(3), {"e0": (0, 1), "e1": (0, 1), "e2": (1, 2)})
+    verdict = has_supergraph(g, phi, 2, want_witness=True)
+    text = json.dumps(verdict.witness.to_json(), sort_keys=True)
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "77521e0c1be70e447c414690b2800c66fd367d249ad5dd3353bbf5fe729413dc")
+    assert verdict.stats["paired_product"]["transitions"] < 145591 // 2
 
 
 def test_simple_automaton_matches_compiled_formula_three_labels():

@@ -11,7 +11,8 @@ from supertw.terms import enumerate_terms, map_symbols, term
 from supertw.tree_automata import (TreeAutomaton, _alive, _refine, accepts,
                                    extract_witness, intersect,
                                    intersection_nonempty, project,
-                                   reduce_bisim, run, to_json, trim)
+                                   reduce_bisim, run, to_json, trim,
+                                   witness_prefix)
 from supertw.util import Budget
 from corpus import make_automaton
 
@@ -907,6 +908,103 @@ def test_intersection_nonempty_matches_intersect(case):
 def test_intersection_nonempty_matches_intersect_on_warm_decide(warm_decide_triples):
     for _shape, a_g, sub in warm_decide_triples:
         same_as_product(a_g, sub)
+
+
+# --- the witness prefix ----------------------------------------------------
+# `witness_prefix` is the `_product` join cut short once no later transition
+# can change what `extract_witness` reads from the whole product.
+
+def height(t):
+    return 1 + max(map(height, t.children)) if t.children else 0
+
+
+def height_counter(h, seed):
+    """A shuffled raw automaton whose least accepted height is h: a leaf
+    "a" starts at 0, rules count one up to h from their highest child,
+    and some rules jump anywhere."""
+    rng = random.Random(seed)
+    trs = {((), "a", 0)}
+    for sym in AB:
+        for i in range(h + 1):
+            if rng.random() < 0.6:
+                trs.add(((i,), sym, min(i + 1, h)))
+            for j in range(h + 1):
+                if rng.random() < 0.4:
+                    trs.add(((i, j), sym, min(max(i, j) + 1, h)))
+                if rng.random() < 0.2:
+                    trs.add(((i, j), sym, rng.randrange(h + 1)))
+    trs = sorted(trs)
+    rng.shuffle(trs)
+    return TreeAutomaton.raw(AB, range(h + 1), [h], trs)
+
+
+def same_witness_as_product(a, b):
+    """The witness of (a, b), asserted to be the product's and to come from
+    a column prefix of it, charged 1 a transition."""
+    full = intersect(a, b, Budget(None))
+    budget = Budget(None)
+    pre = witness_prefix(a, b, budget)
+    n = pre.n_transitions
+    assert budget.used == n
+    assert all(got == col[:n] for got, col in zip(pre.columns, full.columns))
+    assert len(pre.states) <= len(full.states)
+    assert pre.final == {q for q in full.final if q < len(pre.states)}
+    witness = extract_witness(pre)
+    assert witness == extract_witness(full)
+    if witness is None:
+        assert n == full.n_transitions and len(pre.states) == len(full.states)
+    return witness
+
+
+def test_witness_prefix_matches_the_product():
+    heights, empty = set(), 0
+    runs = []
+    for case in range(30):
+        a, b = feeding_pair(case)
+        runs += sweep(a, b, a.states, b.states) + sweep(b, a, b.states, a.states)
+    runs += [(random_automaton(seed), random_automaton(seed + 5000, n_states=4))
+             for seed in range(300)]
+    runs += [(height_counter(h, seed), height_counter(seed % 4, seed + 99))
+             for h in range(7) for seed in range(12)]
+    for a, b in runs:
+        witness = same_witness_as_product(a, b)
+        if witness is None:
+            empty += 1
+        else:
+            heights.add(height(witness))
+    assert heights >= set(range(5)) and empty > 0
+
+
+def test_witness_prefix_of_an_empty_product_is_the_product():
+    a, b = feeding_pair(0)
+    a = with_final(a, [])
+    assert witness_prefix(a, b).transitions == intersect(a, b).transitions
+
+
+def test_witness_prefix_stops_when_the_root_settles():
+    """(w, y) -> z is emitted at the pop of w, before y's round settles at
+    the end of that pop; the settlement must stop the join there, so
+    z -> v is never emitted."""
+    alphabet = ["a", "b", "u"]
+    a = make_automaton(alphabet, ["z"], [((), "a", "x"), ((), "b", "w"),
+                                         (("x",), "u", "y"), (("w", "y"), "b", "z"),
+                                         (("z",), "u", "v")])
+    b = make_automaton(alphabet, ["o"], [((), "a", "o"), ((), "b", "o"),
+                                         (("o",), "u", "o"), (("o", "o"), "b", "o")])
+    budget = Budget(None)
+    pre = witness_prefix(a, b, budget)
+    assert pre.transitions == (((), "a", 0), ((), "b", 1), ((0,), "u", 2),
+                               ((1, 2), "b", 3))
+    assert budget.used == 4 and pre.final == {3}
+    assert intersect(a, b).transitions == pre.transitions + (((3,), "u", 4),)
+    assert extract_witness(pre) == term("b", term("b"), term("u", term("a")))
+
+
+def test_witness_prefix_checks_the_deadline():
+    a, b = feeding_pair(0)
+    with pytest.raises(ResourceExceededError) as err:
+        witness_prefix(a, b, Budget(None, timeout_secs=-1))
+    assert err.value.stage == "intersect"
 
 
 WARM_WITNESS_SHAPES = {
