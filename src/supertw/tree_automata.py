@@ -881,21 +881,19 @@ class _Rounds:
         self.admitted = 0        # the positions below it have been admitted
 
     def admit(self):
-        left, choice, ready, waiting = self.left, self.choice, self.ready, self.waiting
+        left, ready, waiting = self.left, self.ready, self.waiting
         start, end = self.admitted, len(left)
-        later = []  # the transitions whose left child has been chosen
         for k, l in enumerate(left[start:end], start):
             if l < 0:
                 ready.append(k)
-            elif l in choice:
-                later.append(k)
             else:
                 got = waiting.get(l)
                 if got is None:
                     got = waiting[l] = array("i")
                 got.append(k)
         self.admitted = end
-        self._park(later)
+        if self.choice:  # what waits on a state already chosen moves on now
+            self.release([q for q in waiting if q in self.choice])
 
     def take(self):
         """{state: position of its transition} of the states new this round."""
@@ -915,17 +913,17 @@ class _Rounds:
             self._park(waiting.pop(q, ()))
 
     def _park(self, ks):
-        """Ready each transition of ks whose children have all been chosen,
-        and let the others wait on their first child that has not."""
+        """Ready each transition of ks, none of them a leaf, whose children
+        have all been chosen, and let the others wait on their first child
+        that has not."""
         left, right, target, choice = self.left, self.right, self.target, self.choice
         ready, waiting = self.ready, self.waiting
         for k in ks:
             if target[k] in choice:
                 continue
             l, r = left[k], right[k]
-            c = (l if l >= 0 and l not in choice
-                 else r if r >= 0 and r not in choice else -1)
-            if c < 0:
+            c = l if l not in choice else r if r >= 0 and r not in choice else None
+            if c is None:
                 ready.append(k)
             else:
                 got = waiting.get(c)
